@@ -2,9 +2,10 @@
 
 The cell list, field set, and runner live in ``tests/test_sim_golden.py``
 so the generator and the regression test can never disagree about what a
-cell is.  Run this only when a change *intentionally* alters event-engine
-behaviour, commit the diff, and explain the regeneration in the commit
-message.
+cell is.  The corpus pins the event engine plus a batched and a sharded
+section.  Run this only when a change *intentionally* alters the
+behaviour of one of the three engines, commit the diff, and explain the
+regeneration in the commit message.
 
 Usage: python scripts/make_golden_sim.py
 """
@@ -20,7 +21,9 @@ for p in (str(ROOT / "src"), str(ROOT / "tests")):
     if p not in sys.path:
         sys.path.insert(0, p)
 
+import repro.sim.sharded as sharded_mod  # noqa: E402
 from test_sim_golden import (  # noqa: E402
+    BATCHED_CELLS,
     CELLS,
     COLLECTIVE_CELLS,
     CONGESTION_CELLS,
@@ -31,7 +34,10 @@ from test_sim_golden import (  # noqa: E402
     ORACLE_CELLS,
     PACKETS_PER_RANK,
     SEARCHED_CELLS,
+    SHARDED_CELLS,
+    batched_cell_id,
     cell_id,
+    collect_batched_cell,
     collect_cell,
     collect_collective_cell,
     collect_congestion_cell,
@@ -39,20 +45,22 @@ from test_sim_golden import (  # noqa: E402
     collect_motif_cell,
     collect_oracle_cell,
     collect_searched_cell,
+    collect_sharded_cell,
     collective_cell_id,
     congestion_cell_id,
     fault_cell_id,
     motif_cell_id,
     oracle_cell_id,
     searched_cell_id,
+    sharded_cell_id,
 )
 
 
 def main() -> int:
     corpus = {
-        "schema": 6,
+        "schema": 7,
         "kind": "repro-sim-golden",
-        "backend": "event",
+        "backends": ["event", "batched", "sharded"],
         "n_ranks": N_RANKS,
         "packets_per_rank": PACKETS_PER_RANK,
         "cells": {},
@@ -62,6 +70,8 @@ def main() -> int:
         "congestion_cells": {},
         "oracle_cells": {},
         "searched_cells": {},
+        "batched": {},
+        "sharded": {},
     }
     for cell in CELLS:
         name = cell_id(cell)
@@ -91,6 +101,16 @@ def main() -> int:
         name = searched_cell_id(cell)
         print(f"  searched {name}...")
         corpus["searched_cells"][name] = collect_searched_cell(cell)
+    for entry in BATCHED_CELLS:
+        name = batched_cell_id(entry)
+        print(f"  batched {name}...")
+        corpus["batched"][name] = collect_batched_cell(entry)
+    # Small cells: force the forked path, as tests/test_sim_sharded.py does.
+    sharded_mod.MIN_PACKETS_TO_SHARD = 0
+    for cell in SHARDED_CELLS:
+        name = sharded_cell_id(cell)
+        print(f"  sharded {name}...")
+        corpus["sharded"][name] = collect_sharded_cell(cell)
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(corpus, indent=1) + "\n")
     n_lat = sum(len(c["latencies_ns"]) for c in corpus["cells"].values())
@@ -101,7 +121,9 @@ def main() -> int:
         f"{len(COLLECTIVE_CELLS)} collective cells, "
         f"{len(CONGESTION_CELLS)} congested cells, "
         f"{len(ORACLE_CELLS)} oracle cells, "
-        f"{len(SEARCHED_CELLS)} searched cells)"
+        f"{len(SEARCHED_CELLS)} searched cells, "
+        f"{len(BATCHED_CELLS)} batched cells, "
+        f"{len(SHARDED_CELLS)} sharded cells)"
     )
     return 0
 

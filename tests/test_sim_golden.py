@@ -1,8 +1,12 @@
-"""Golden-stats regression corpus for the event-engine simulator.
+"""Golden-stats regression corpus for the event, batched and sharded engines.
 
 ``tests/golden/sim_small.json`` pins the **exact** :class:`SimStats` of a
 handful of seeded small-preset cells — every per-packet latency and hop
-count, every counter, bit for bit.  The differential harness
+count, every counter, bit for bit.  The event engine is pinned across
+every scenario family; the batched and sharded engines (schema 7) get
+their own sections, because each is deterministic per seed (per ``(seed,
+shard_workers)`` for sharded) even though they are only *statistically*
+equivalent to the event engine.  The differential harness
 (``test_sim_differential.py``) and the throughput benchmarks only watch
 aggregate numbers; this corpus is what catches *silent behaviour drift*
 — a reordered RNG draw, an off-by-one in queue accounting, a changed
@@ -14,7 +18,7 @@ routing policy at least once.  Floats survive the JSON round-trip exactly
 (``json`` serialises via ``repr``), so equality here is equality of the
 simulated trajectories.
 
-If a change *intentionally* alters event-engine behaviour (a new RNG
+If a change *intentionally* alters an engine's behaviour (a new RNG
 batching scheme, a semantic fix), regenerate with::
 
     python scripts/make_golden_sim.py
@@ -25,16 +29,19 @@ corpus is the reviewable record of what moved.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
+import repro.sim.sharded as sharded_mod
 from repro.experiments.common import build_synthetic_sim, cached_tables
 from repro.routing import make_routing
-from repro.sim import ChannelConfig, SimConfig
+from repro.sim import BatchedSimulator, ChannelConfig, SimConfig
 from repro.sim.faults import FaultSchedule
-from repro.topology import SIM_CONFIGS
+from repro.sim.placement import place_ranks
+from repro.topology import SIM_CONFIGS, build_lps
 from repro.workloads import (
     CollectiveMotif,
     FFTMotif,
@@ -155,6 +162,39 @@ SEARCHED_CELLS = [
     (48, 4, 60, "minimal", "random", 0.5, 7),
 ]
 
+#: Batched-engine corpus cells (schema 7): ``(kind, cell)`` where ``cell``
+#: is a tuple of the event section of the same kind, run on
+#: ``backend="batched"``.  Open-loop cells cover all four policies, then
+#: one cell each for the fault epochs, the credit + lossy-link loop, the
+#: closed-loop motif and collective driver, and oracle routing.  Every
+#: :class:`SimStats` field is pinned, ``n_events`` and
+#: ``max_queue_bytes`` included.
+BATCHED_CELLS = [
+    ("open", ("SpectralFly", "minimal", "shuffle", 0.4, 7)),
+    ("open", ("DragonFly", "valiant", "shuffle", 0.4, 7)),
+    ("open", ("SpectralFly", "ugal", "random", 0.5, 7)),
+    ("open", ("DragonFly", "ugal-g", "transpose", 0.3, 7)),
+    ("fault", ("BundleFly", "minimal", 0.15, False, 7)),
+    ("congestion", ("SpectralFly", "valiant", 2, 0.04, 2, 7)),
+    ("motif", ("DragonFly", "ugal", "halo3d", 7)),
+    ("collective",
+     ("DragonFly", "ugal", "reduce-scatter", "rabenseifner", 11, 7)),
+    ("oracle", ("SpectralFly", "cayley", "minimal", "tornado", 0.5, 11)),
+]
+
+#: Sharded-engine corpus cells (schema 7): (workers, routing, seed) on
+#: ``build_lps(3, 5)``, run with ``MIN_PACKETS_TO_SHARD`` lowered to 0 so
+#: the cells take the forked path.  A sharded run is exactly reproducible
+#: per ``(seed, shard_workers)``.
+SHARDED_CELLS = [
+    (2, "minimal", 7),
+    (3, "minimal", 7),
+    (2, "valiant", 7),
+    (3, "valiant", 7),
+]
+SHARDED_RANKS = 32
+SHARDED_PACKETS_PER_RANK = 6
+
 
 def make_motif(kind: str, n_ranks: int):
     """The corpus motif instances (small and fixed, like the cells)."""
@@ -205,11 +245,10 @@ def searched_cell_id(cell) -> str:
     return f"searched-n{n}-k{radix}-b{budget}-{routing}-{pattern}-l{load}-s{seed}"
 
 
-def collect_cell(cell) -> dict:
-    """Run one corpus cell on the event backend; return its stats dict."""
+def _open_net(cell, backend):
     family, routing, pattern, load, seed = cell
     spec = SIM_CONFIGS["small"]["topologies"][family]
-    net = build_synthetic_sim(
+    return build_synthetic_sim(
         spec["build"](),
         routing,
         pattern,
@@ -218,9 +257,13 @@ def collect_cell(cell) -> dict:
         n_ranks=N_RANKS,
         packets_per_rank=PACKETS_PER_RANK,
         seed=seed,
-        backend="event",
+        backend=backend,
     )
-    stats = net.run()
+
+
+def collect_cell(cell) -> dict:
+    """Run one corpus cell on the event backend; return its stats dict."""
+    stats = _open_net(cell, "event").run()
     return {field: getattr(stats, field) for field in FIELDS}
 
 
@@ -244,12 +287,7 @@ def collect_motif_cell(cell) -> dict:
     return out
 
 
-def collect_fault_cell(cell) -> dict:
-    """Run one faulted open-loop cell on the event engine; pin SimStats.
-
-    Includes the fault-specific observables on top of :data:`FIELDS`:
-    drops by cause and the complete epoch ledger.
-    """
+def _fault_net(cell, backend):
     family, routing, fraction, recover, seed = cell
     spec = SIM_CONFIGS["small"]["topologies"][family]
     topo = spec["build"]()
@@ -265,13 +303,21 @@ def collect_fault_cell(cell) -> dict:
         seed=seed * 13 + 1,
         t_recover=0.75 * horizon if recover else None,
     )
-    net = build_synthetic_sim(
+    return build_synthetic_sim(
         topo, routing, "random", load,
         concentration=spec["concentration"], n_ranks=N_RANKS,
         packets_per_rank=PACKETS_PER_RANK, seed=seed,
-        faults=schedule, backend="event",
+        faults=schedule, backend=backend,
     )
-    stats = net.run()
+
+
+def collect_fault_cell(cell) -> dict:
+    """Run one faulted open-loop cell on the event engine; pin SimStats.
+
+    Includes the fault-specific observables on top of :data:`FIELDS`:
+    drops by cause and the complete epoch ledger.
+    """
+    stats = _fault_net(cell, "event").run()
     out = {field: getattr(stats, field) for field in FIELDS}
     out["drops"] = dict(stats.drops)
     out["epochs"] = list(stats.epochs)
@@ -299,13 +345,7 @@ def collect_collective_cell(cell) -> dict:
     )
 
 
-def collect_congestion_cell(cell) -> dict:
-    """Run one congested open-loop cell on the event engine; pin SimStats.
-
-    On top of :data:`FIELDS` this pins the congestion-specific ledgers:
-    drops itemized by cause and the retransmit counter — the exact
-    accounting the batched engine must reproduce.
-    """
+def _congestion_net(cell, backend):
     family, routing, bufp, loss, attempts, seed = cell
     spec = SIM_CONFIGS["small"]["topologies"][family]
     channel = None
@@ -320,25 +360,29 @@ def collect_congestion_cell(cell) -> dict:
         buffer_bytes=max(bufp, 1) * 4096,
         channel=channel,
     )
-    net = build_synthetic_sim(
+    return build_synthetic_sim(
         spec["build"](), routing, "random", 0.5,
         concentration=spec["concentration"], n_ranks=N_RANKS,
         packets_per_rank=PACKETS_PER_RANK, seed=seed,
-        config=cfg, backend="event",
+        config=cfg, backend=backend,
     )
-    stats = net.run()
+
+
+def collect_congestion_cell(cell) -> dict:
+    """Run one congested open-loop cell on the event engine; pin SimStats.
+
+    On top of :data:`FIELDS` this pins the congestion-specific ledgers:
+    drops itemized by cause and the retransmit counter — the exact
+    accounting the batched engine must reproduce.
+    """
+    stats = _congestion_net(cell, "event").run()
     out = {field: getattr(stats, field) for field in FIELDS}
     out["drops"] = dict(stats.drops)
     out["n_retransmits"] = stats.n_retransmits
     return out
 
 
-def collect_oracle_cell(cell) -> dict:
-    """Run one oracle-routed open-loop cell on the event engine.
-
-    The run must stay lazy end to end (no dense matrix materialised);
-    the pinned stats are the same :data:`FIELDS` as the dense cells.
-    """
+def _run_oracle_net(cell, backend):
     family, oracle, routing, pattern, load, seed = cell
     spec = SIM_CONFIGS["small"]["topologies"][family]
     net = build_synthetic_sim(
@@ -350,12 +394,22 @@ def collect_oracle_cell(cell) -> dict:
         n_ranks=N_RANKS,
         packets_per_rank=PACKETS_PER_RANK,
         seed=seed,
-        backend="event",
+        backend=backend,
         oracle=oracle,
     )
     assert net.tables.is_lazy and net.tables._dist is None
     stats = net.run()
     assert net.tables._dist is None, "oracle cell densified mid-run"
+    return stats
+
+
+def collect_oracle_cell(cell) -> dict:
+    """Run one oracle-routed open-loop cell on the event engine.
+
+    The run must stay lazy end to end (no dense matrix materialised);
+    the pinned stats are the same :data:`FIELDS` as the dense cells.
+    """
+    stats = _run_oracle_net(cell, "event")
     return {field: getattr(stats, field) for field in FIELDS}
 
 
@@ -382,6 +436,89 @@ def collect_searched_cell(cell) -> dict:
     out["seed_fitness"] = topo.provenance["seed_fitness"]
     out["best_fitness"] = topo.provenance["best_fitness"]
     return out
+
+
+def batched_cell_id(entry) -> str:
+    kind, cell = entry
+    ids = {
+        "open": cell_id,
+        "fault": fault_cell_id,
+        "congestion": congestion_cell_id,
+        "motif": motif_cell_id,
+        "collective": collective_cell_id,
+        "oracle": oracle_cell_id,
+    }
+    return f"{kind}:{ids[kind](cell)}"
+
+
+def sharded_cell_id(cell) -> str:
+    workers, routing, seed = cell
+    return f"lps3-5-w{workers}-{routing}-s{seed}"
+
+
+def _closed_loop_stats(family, routing, motif, seed):
+    """Run a motif DAG on the batched closed-loop driver directly.
+
+    Mirrors ``run_motif``'s batched path but keeps the raw
+    :class:`SimStats` (the motif summary drops ``n_events`` and
+    ``max_queue_bytes``) and the per-message delivery instants that
+    ``run_collective`` derives its chunk completion times from.
+    """
+    spec = SIM_CONFIGS["small"]["topologies"][family]
+    topo = spec["build"]()
+    policy = make_routing(routing, cached_tables(topo), seed=seed)
+    net = BatchedSimulator(
+        topo, policy, SimConfig(concentration=spec["concentration"]),
+        tables=policy.tables,
+    )
+    r2e = place_ranks(motif.n_ranks, net.n_endpoints, seed=seed + 1)
+    stats = net.run_closed_loop(motif.generate(), r2e)
+    out = dataclasses.asdict(stats)
+    out["t_delivered_ns"] = net._t_del.tolist()
+    return out
+
+
+def collect_batched_cell(entry) -> dict:
+    """Run one batched-engine cell; pin every SimStats field."""
+    kind, cell = entry
+    if kind == "motif":
+        family, routing, motif_kind, seed = cell
+        return _closed_loop_stats(
+            family, routing, make_motif(motif_kind, N_RANKS), seed
+        )
+    if kind == "collective":
+        family, routing, coll, algo, p, seed = cell
+        motif = CollectiveMotif(coll, algo, p, total_bytes=COLLECTIVE_BYTES)
+        return _closed_loop_stats(family, routing, motif, seed)
+    if kind == "oracle":
+        stats = _run_oracle_net(cell, "batched")
+    else:
+        build = {
+            "open": _open_net,
+            "fault": _fault_net,
+            "congestion": _congestion_net,
+        }[kind]
+        stats = build(cell, "batched").run()
+    return dataclasses.asdict(stats)
+
+
+def collect_sharded_cell(cell) -> dict:
+    """Run one sharded-engine cell; pin every SimStats field.
+
+    The caller lowers ``repro.sim.sharded.MIN_PACKETS_TO_SHARD`` so the
+    run forks; the assertion catches a cell that would silently fall back
+    to the single-process loop.
+    """
+    workers, routing, seed = cell
+    net = build_synthetic_sim(
+        build_lps(3, 5), routing, "random", 0.5, concentration=2,
+        n_ranks=SHARDED_RANKS, packets_per_rank=SHARDED_PACKETS_PER_RANK,
+        seed=seed, backend="sharded",
+        config=SimConfig(concentration=2, shard_workers=workers),
+    )
+    stats = net.run()
+    assert stats.n_injected >= sharded_mod.MIN_PACKETS_TO_SHARD
+    return dataclasses.asdict(stats)
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +551,14 @@ class TestGoldenCorpus:
         assert list(golden["searched_cells"]) == [
             searched_cell_id(c) for c in SEARCHED_CELLS
         ]
-        assert golden["schema"] == 6
+        assert list(golden["batched"]) == [
+            batched_cell_id(c) for c in BATCHED_CELLS
+        ]
+        assert list(golden["sharded"]) == [
+            sharded_cell_id(c) for c in SHARDED_CELLS
+        ]
+        assert golden["schema"] == 7
+        assert golden["backends"] == ["event", "batched", "sharded"]
         assert golden["n_ranks"] == N_RANKS
         assert golden["packets_per_rank"] == PACKETS_PER_RANK
 
@@ -510,6 +654,47 @@ class TestGoldenCorpus:
                 "the change is intentional, regenerate with "
                 "scripts/make_golden_sim.py and say so in the commit"
             )
+
+    @pytest.mark.parametrize("entry", BATCHED_CELLS, ids=batched_cell_id)
+    def test_batched_backend_bit_for_bit(self, golden, entry):
+        expected = golden["batched"][batched_cell_id(entry)]
+        actual = collect_batched_cell(entry)
+        assert set(actual) == set(expected)
+        for key in expected:
+            assert actual[key] == expected[key], (
+                f"batched SimStats {key!r} drifted in "
+                f"{batched_cell_id(entry)}; if the change is intentional, "
+                "regenerate with scripts/make_golden_sim.py and say so in "
+                "the commit"
+            )
+
+    @pytest.mark.parametrize("cell", SHARDED_CELLS, ids=sharded_cell_id)
+    def test_sharded_backend_bit_for_bit(self, golden, cell, monkeypatch):
+        monkeypatch.setattr(sharded_mod, "MIN_PACKETS_TO_SHARD", 0)
+        expected = golden["sharded"][sharded_cell_id(cell)]
+        actual = collect_sharded_cell(cell)
+        assert set(actual) == set(expected)
+        for key in expected:
+            assert actual[key] == expected[key], (
+                f"sharded SimStats {key!r} drifted in "
+                f"{sharded_cell_id(cell)}; if the change is intentional, "
+                "regenerate with scripts/make_golden_sim.py and say so in "
+                "the commit"
+            )
+
+    def test_batched_cells_exercise_every_loop(self, golden):
+        # Each scenario cell must reach the loop branch it exists to pin.
+        cells = golden["batched"]
+        by_kind = {k: cells[batched_cell_id((k, c))] for k, c in BATCHED_CELLS}
+        assert {c[1][1] for c in BATCHED_CELLS if c[0] == "open"} == {
+            "minimal", "valiant", "ugal", "ugal-g"
+        }
+        assert by_kind["fault"]["n_requeued"] + by_kind["fault"][
+            "n_dropped"] > 0
+        assert by_kind["congestion"]["n_retransmits"] > 0
+        assert len(by_kind["collective"]["t_delivered_ns"]) > 0
+        for c in cells.values():
+            assert c["n_events"] > 0 and c["max_queue_bytes"] > 0
 
     def test_searched_cell_actually_searched(self, golden):
         # A searched cell whose candidate equals its seed pins nothing
