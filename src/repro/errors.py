@@ -125,6 +125,34 @@ class BufferDeadlockError(SimulationError):
         return ()
 
 
+class ShardWorkerError(SimulationError):
+    """A worker process of the sharded engine died mid-run.
+
+    ``worker`` is the worker id and ``span`` the ``(lo, hi)`` router range
+    it owned; ``exitcode`` is the process exit code when it is known (the
+    worker's own traceback goes to its stderr).  By the time this is
+    raised the hub has terminated and joined every other worker.
+    """
+
+    def __init__(
+        self,
+        worker: int,
+        span: tuple[int, int],
+        exitcode: int | None = None,
+        detail: str = "",
+    ) -> None:
+        lo, hi = span
+        msg = f"shard worker {worker} (routers [{lo}, {hi})) failed"
+        if exitcode is not None:
+            msg += f" with exit code {exitcode}"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
+        self.worker = worker
+        self.span = (lo, hi)
+        self.exitcode = exitcode
+
+
 class JobCancelledError(ReproError, RuntimeError):
     """An experiment run was cancelled through its :class:`CancelToken`.
 

@@ -17,13 +17,14 @@ cycle at a time as numpy array programs** over the same CSR-of-CSR
   gathers and one ``nh_indices`` gather per arriving batch, uniform
   tie-breaks from one block of uniforms (Valiant/UGAL source decisions are
   vectorized the same way);
-* **contention** is resolved per port by a segmented sort: every waiting
-  packet carries one packed 64-bit key ``port << 40 | enqueue_cycle << 20
-  | random_tiebreak`` and the waiting set is kept sorted by it — new
-  arrivals are batch-sorted (segmented argsort) and merged in, and a
-  first-of-segment mask picks one winner per port per cycle with no
-  per-cycle resort — FIFO with random same-cycle tie-breaks, the batch
-  analogue of the event engine's per-VC round-robin;
+* **contention** is resolved per port over one :class:`_WaitingSet`:
+  every queued packet carries a packed 64-bit key (port, enqueue cycle,
+  tie-break) and the set stays sorted by it — new arrivals are
+  batch-sorted and merged in, and a first-of-segment mask picks one
+  winner per port per cycle with no per-cycle resort — FIFO with random
+  same-cycle tie-breaks, the batch analogue of the event engine's per-VC
+  round-robin.  The waiting set is the only code that knows the key
+  layout;
 * **latency** is assembled analytically at drain time: the exact
   uncongested pipeline (NIC + per-hop switch/serialization/cable + eject)
   plus the observed queueing in whole cycles.  An uncontended packet gets
@@ -36,6 +37,15 @@ equal injections but different routing tie-break streams and cycle-quantized
 queueing.  Their agreement on mean latency, mean hops, throughput, and
 delivered counts is pinned statistically by
 ``tests/test_sim_differential.py``.
+
+The open-loop cycle itself is one method, :meth:`BatchedSimulator._step`:
+winner pick (with the optional credit gate), wait accounting, eject or
+advance (through the optional lossy channel), credit transfer, and winner
+removal.  Two drivers call it: :meth:`BatchedSimulator._cycle_loop`
+(injections, fault epochs, idle skips) and the per-shard worker loop of
+:class:`~repro.sim.sharded.ShardedSimulator` (the hub protocol).  Arrivals
+due at a later cycle — channel-delayed hops here, every hop and injection
+in closed-loop mode — wait in one due-cycle :class:`_Calendar`.
 
 Beyond the original open-loop path, this engine covers the two scenario
 families the paper's figures need:
@@ -58,7 +68,9 @@ families the paper's figures need:
   sizes*, so this mode keeps exact per-packet times (fractional-cycle
   port clocks; an uncontested packet's latency equals the event engine's
   to float rounding) and uses the cycle grid only to batch contention
-  decisions.
+  decisions.  A port may serve several small packets in one cycle, so
+  this mode keeps its own driver (:meth:`BatchedSimulator._cl_cycle_loop`)
+  on top of the shared waiting set and calendar.
 
 The congestion-realism PR added two more scenario families to the
 open-loop path (see ``docs/congestion.md``):
@@ -108,24 +120,167 @@ from repro.topology.base import Topology
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import SimConfig
 
-#: Closed-loop (motif) cycle quantum, in units of the open-loop cycle
-#: ``tau``.  Closed-loop mode tracks exact per-packet and per-port times,
-#: so the cycle grid only batches contention decisions and orders
-#: same-cycle arrivals (exactly, via the arrival-time tie-break) — a
-#: coarser grid costs ordering fidelity only across concurrent
-#: quiescence iterations, while shrinking the Python-loop overhead per
-#: simulated nanosecond.  Measured: factors past 1 buy little throughput
-#: (the cost is per-iteration numpy overhead, not cycle count) while the
-#: halo3d latency differential visibly loosens, so the quantum stays at
-#: the open-loop cycle.
-CLOSED_LOOP_CYCLE_FACTOR = 1
 
-# Packed waiting-set sort key layout: port | enqueue cycle | tie-break.
-# 23 bits of port (paper-scale topologies top out around ~60K directed
-# edges + endpoints), 20 bits of cycle, 20 bits of random tie-break.
-_PORT_SHIFT = 40
-_ENQ_SHIFT = 20
-_ENQ_MASK = (1 << 20) - 1
+class _WaitingSet:
+    """Every port's contention queue, as one array sorted by packed key.
+
+    One row per queued packet: the key ``port << 40 | enqueue_cycle << 20
+    | tie``, the packet id, and the router it moves to when served (``-1``
+    on ejection ports).  Ports ``< n_dir`` are directed edges; the rest
+    are ejection ports, one per endpoint.  A new row sorts after every
+    row already queued on its port (its cycle is the largest yet), so the
+    sorted order is per-port FIFO, each port's queue is one contiguous
+    segment, and a segment's first row is its head of line.
+
+    Bit budget: 23 bits of port (paper-scale topologies top out around
+    ~60K directed edges + endpoints), 20 bits of cycle, 20 bits of tie.
+    """
+
+    PORT_SHIFT = 40
+    ENQ_SHIFT = 20
+    ENQ_MASK = (1 << 20) - 1
+
+    def __init__(self, n_ports: int) -> None:
+        if n_ports >= 1 << (63 - self.PORT_SHIFT):
+            raise SimulationError(  # pragma: no cover - paper scale is ~60K
+                "topology too large for the packed contention keys; "
+                "use backend='event'"
+            )
+        self.comb = np.empty(0, dtype=np.int64)  # packed sort keys
+        self.idx = np.empty(0, dtype=np.int64)  # packet ids
+        self.nxt = np.empty(0, dtype=np.int64)  # downstream routers
+
+    @property
+    def size(self) -> int:
+        return self.comb.size
+
+    def ports(self) -> np.ndarray:
+        return self.comb >> self.PORT_SHIFT
+
+    @staticmethod
+    def heads(keys: np.ndarray) -> np.ndarray:
+        """Mask of the first row of every run of equal sorted ``keys``.
+
+        Over :meth:`ports` this is each port's head of line; the credit
+        gate applies it to the segment ids of its eligible rows.
+        """
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return first
+
+    def enqueue_cycles(self, sel: np.ndarray) -> np.ndarray:
+        """The cycle each selected row was queued at."""
+        return (self.comb[sel] >> self.ENQ_SHIFT) & self.ENQ_MASK
+
+    def port_load(
+        self, n_dir: int, weights: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Queued packets per directed edge (or ``weights[pid]`` summed)."""
+        ports = self.ports()
+        m = ports < n_dir
+        w = None if weights is None else weights[self.idx[m]]
+        return np.bincount(ports[m], weights=w, minlength=n_dir)
+
+    def random_ties(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(0, self.ENQ_MASK, size=n)
+
+    def arrival_ties(self, frac: np.ndarray) -> np.ndarray:
+        """Ties that order packets by arrival fraction within the cycle.
+
+        Round, don't truncate: truncation turns the one-ulp float error
+        of the fraction round-trip into off-by-one ties, so two packets
+        with distinct quantized arrivals could collide and their order
+        would depend on merge-batch boundaries (pinned by the
+        permutation-invariance property test).
+        """
+        return np.clip(
+            np.rint(frac * (self.ENQ_MASK - 1)).astype(np.int64),
+            0, self.ENQ_MASK - 1,
+        )
+
+    def push(
+        self, p: np.ndarray, port: np.ndarray, c: int, tie: np.ndarray,
+        nxt: np.ndarray | None = None,
+    ) -> None:
+        """Merge packets ``p`` queued on ``port`` at cycle ``c``."""
+        if c >= self.ENQ_MASK:  # pragma: no cover - absurdly long run
+            raise SimulationError(
+                "batched run exceeded the cycle budget; use the event "
+                "backend for simulations this long"
+            )
+        comb = (port << self.PORT_SHIFT) | np.int64(c << self.ENQ_SHIFT) | tie
+        o = np.argsort(comb, kind="stable")
+        comb = comb[o]
+        if nxt is None:
+            nxt = np.full(len(p), -1, dtype=np.int64)
+        # Manual sorted merge (np.insert x3 costs ~3x as much): new
+        # entries land at searchsorted positions offset by their own rank.
+        new_at = np.searchsorted(self.comb, comb) + np.arange(len(comb))
+        total = self.comb.size + len(comb)
+        old_at = np.ones(total, dtype=bool)
+        old_at[new_at] = False
+
+        def merge(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+            out = np.empty(total, dtype=np.int64)
+            out[new_at] = new
+            out[old_at] = old
+            return out
+
+        self.comb = merge(self.comb, comb)
+        self.idx = merge(self.idx, p[o])
+        self.nxt = merge(self.nxt, nxt[o])
+
+    def remove(self, gone: np.ndarray) -> None:
+        """Drop the rows of boolean mask ``gone``; the rest keep order."""
+        keep = ~gone
+        self.comb = self.comb[keep]
+        self.idx = self.idx[keep]
+        self.nxt = self.nxt[keep]
+
+
+class _Calendar:
+    """Packet batches filed under the cycle they are due to arrive.
+
+    A min-heap of due cycles over a dict of batches.  Each batch records
+    whether its packets arrive at their source router (fresh from the
+    NIC) or forwarded from upstream.
+    """
+
+    def __init__(self) -> None:
+        self._due: dict[int, list] = {}
+        self._heap: list[int] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+    def next_cycle(self) -> int:
+        return self._heap[0]
+
+    def push(
+        self, ids: np.ndarray, cycles: np.ndarray, at_source: bool = False
+    ) -> None:
+        for cv in np.unique(cycles).tolist():
+            batches = self._due.get(cv)
+            if batches is None:
+                batches = self._due[cv] = []
+                heapq.heappush(self._heap, cv)
+            batches.append((ids[cycles == cv], at_source))
+
+    def pop(self, c: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Everything due by cycle ``c``: (forwarded ids, source ids).
+
+        Each side is one array in due-cycle then filing order, or
+        ``None`` when nothing of that kind is due.
+        """
+        sides: tuple[list, list] = ([], [])
+        while self._heap and self._heap[0] <= c:
+            for ids, at_source in self._due.pop(heapq.heappop(self._heap)):
+                sides[at_source].append(ids)
+        return tuple(
+            None if not s else s[0] if len(s) == 1 else np.concatenate(s)
+            for s in sides
+        )
 
 
 class BatchedSimulator:
@@ -190,11 +345,6 @@ class BatchedSimulator:
         heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
         self._edge_keys = heads * g.n + np.asarray(g.indices, dtype=np.int64)
         self._n_dir = len(self._edge_keys)
-        if self._n_dir + self.n_endpoints >= (1 << (63 - _PORT_SHIFT)):
-            raise SimulationError(  # pragma: no cover - paper scale is ~60K
-                "topology too large for the packed contention keys; "
-                "use backend='event'"
-            )
 
         self._conc = config.concentration
         self._size = config.packet_bytes
@@ -226,16 +376,14 @@ class BatchedSimulator:
         #: Per-packet byte sizes in closed-loop (motif) mode; ``None`` in
         #: open-loop mode, whose packets all weigh ``config.packet_bytes``.
         self._msg_sizes: np.ndarray | None = None
-        # The waiting set (sorted packed keys / packet ids / next routers);
-        # also read by fault application before the first cycle runs.
-        self._w_comb = np.empty(0, dtype=np.int64)
-        self._w_idx = np.empty(0, dtype=np.int64)
-        self._w_nxt = np.empty(0, dtype=np.int64)
         # Fault-injection state; all None until a schedule is attached and
         # the run starts (the pristine paths never read any of it).
         self._fault_schedule = faults
         self._mask = None
         self._alive_router: np.ndarray | None = None
+        # The waiting set is also read by fault application before the
+        # first cycle runs.
+        self._start_loop()
 
     # -- public API (NetworkSimulator parity where meaningful) --------------
     def endpoint_router(self, ep: int) -> int:
@@ -264,6 +412,13 @@ class BatchedSimulator:
         self._fault_schedule = schedule
 
     # -- helpers -------------------------------------------------------------
+    def _start_loop(self) -> None:
+        """Empty waiting set and calendar, zeroed loop counters."""
+        self._waiting = _WaitingSet(self._n_dir + self.n_endpoints)
+        self._calendar = _Calendar()
+        self._n_moves = 0  # hop transmissions, for n_events
+        self._max_q = 0  # peak packets queued on one directed edge
+
     def _edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._edge_keys, u * self.n_routers + v)
 
@@ -296,15 +451,9 @@ class BatchedSimulator:
         times the size, bit-identical to the pre-motif implementation);
         closed-loop motif packets carry their own sizes.
         """
-        ports = self._w_comb >> _PORT_SHIFT
-        m = ports < self._n_dir
         if self._msg_sizes is None:
-            return np.bincount(ports[m], minlength=self._n_dir) * self._size
-        return np.bincount(
-            ports[m],
-            weights=self._msg_sizes[self._w_idx[m]],
-            minlength=self._n_dir,
-        )
+            return self._waiting.port_load(self._n_dir) * self._size
+        return self._waiting.port_load(self._n_dir, self._msg_sizes)
 
     def _sizes_of(self, p: np.ndarray):
         """Byte size per packet in ``p`` (scalar broadcast in open loop)."""
@@ -418,6 +567,13 @@ class BatchedSimulator:
         self._wait = np.zeros(n, dtype=np.int64)  # queueing, in cycles
         self._uncontested = np.zeros(n, dtype=np.int64)  # hops w/o queueing
         self._dropped = np.zeros(n, dtype=bool)  # fault/channel losses
+        self._ejected = np.zeros(n, dtype=bool)
+        if self._buf_used is not None:
+            # Hold-until-departure credit state: the (edge, VC) input
+            # buffer each packet currently occupies (-1 = none, fresh
+            # from its NIC), mirroring Packet.occupies_edge/occupies_vc.
+            self._occ_edge = np.full(n, -1, dtype=np.int64)
+            self._occ_vc = np.zeros(n, dtype=np.int64)
         if self._channel is not None:
             # ``cols`` is each packet's injection index within its source
             # — the same per-endpoint counter the event engine's send()
@@ -432,55 +588,42 @@ class BatchedSimulator:
         return n
 
     def _cycle_loop(self) -> None:
-        n_dir = self._n_dir
-        stats = self.stats
+        """Open-loop driver: injections, fault epochs and idle skips.
+
+        Each cycle lands its arrivals (last cycle's winners, channel
+        arrivals now due, fresh injections) in the waiting set, then
+        serves one :meth:`_step`.
+        """
+        self._start_loop()
+        ws = self._waiting
+        cal = self._calendar
         # Injection buckets: packet ids sorted by arrival cycle.
         order = np.argsort(self._c0, kind="stable")
         c0_sorted = self._c0[order]
         inj_ptr = 0
         n = len(order)
-
-        # The waiting set: one row per queued packet, kept **sorted by the
-        # packed key** (port, enqueue cycle, tie-break) at all times, so
-        # the per-cycle winner pick is a first-of-segment mask with no
-        # resort; only each cycle's new arrivals are sorted (a small
-        # batch) and merged in.
-        self._w_comb = np.empty(0, dtype=np.int64)  # packed sort key
-        self._w_idx = np.empty(0, dtype=np.int64)  # packet id
-        self._w_nxt = np.empty(0, dtype=np.int64)  # downstream router
-
-        pending: np.ndarray | None = None  # winners arriving next cycle
         faulted = self._mask is not None
         ev_ptr = 0
         n_ev_f = len(self._ev_cycles) if faulted else 0
         events_f = self._fault_schedule.events if faulted else ()
-        finite = self._buf_used is not None
-        buf = self._buf_used
-        B = self.config.buffer_bytes
-        size = self._size
-        n_vcs = self.n_vcs
-        if finite:
-            # Hold-until-departure credit state: the (edge, VC) input
-            # buffer each packet currently occupies (-1 = none, fresh
-            # from its NIC), mirroring Packet.occupies_edge/occupies_vc.
-            self._occ_edge = np.full(n, -1, dtype=np.int64)
-            self._occ_vc = np.zeros(n, dtype=np.int64)
-            self._ejected = np.zeros(n, dtype=bool)
-        ch = self._channel
-        tau = self._tau
-        # Channel-delayed arrivals whose extra nanoseconds span whole
-        # cycles: chunks of packet ids filed under their due cycle (the
-        # open-loop analogue of the closed-loop arrival heap).
-        def_arr: dict[int, list] = {}
-        def_heap: list[int] = []
-        c = int(c0_sorted[0])
-        if n_ev_f:
-            c = min(c, int(self._ev_cycles[0]))
-        n_moves = 0
-        max_q = 0
+
+        def next_external() -> int | None:
+            """Next cycle with a pending injection, channel arrival or
+            fault event (``None`` when nothing external is left)."""
+            due = []
+            if inj_ptr < n:
+                due.append(int(c0_sorted[inj_ptr]))
+            if cal:
+                due.append(cal.next_cycle())
+            if ev_ptr < n_ev_f:
+                due.append(int(self._ev_cycles[ev_ptr]))
+            return min(due) if due else None
+
+        pending: np.ndarray | None = None  # winners arriving next cycle
+        c = next_external()
         while True:
-            grew_rq = False
-            if faulted and ev_ptr < n_ev_f and self._ev_cycles[ev_ptr] <= c:
+            grew = False
+            if ev_ptr < n_ev_f and self._ev_cycles[ev_ptr] <= c:
                 # Epoch boundary: apply every schedule event due at this
                 # cycle (mask mutation + waiting-set fix-up per event,
                 # matching the event engine's per-event atomicity), then
@@ -495,34 +638,26 @@ class BatchedSimulator:
                 self._rebuild_masked()
                 if rq_all:
                     self._arrive(np.concatenate(rq_all), c, at_source=False)
-                    grew_rq = True
+                    grew = True
 
             # a) arrivals: forwarded packets from last cycle + channel-
             # delayed packets now due + injections.
-            hi = int(np.searchsorted(c0_sorted, c, side="right"))
-            newly = order[inj_ptr:hi]
-            inj_ptr = hi
-            grew = bool(
-                (pending is not None and pending.size) or newly.size
-            ) or grew_rq
             if pending is not None and pending.size:
                 self._arrive(pending, c, at_source=False)
-            if def_heap and def_heap[0] <= c:
-                chunks: list[np.ndarray] = []
-                while def_heap and def_heap[0] <= c:
-                    chunks.extend(def_arr.pop(heapq.heappop(def_heap)))
-                late = (
-                    chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-                )
+                grew = True
+            pending = None
+            late, _ = cal.pop(c)
+            if late is not None:
                 self._arrive(late, c, at_source=False)
                 grew = True
-            if newly.size:
-                self._arrive(newly, c, at_source=True)
-            pending = None
+            hi = int(np.searchsorted(c0_sorted, c, side="right"))
+            if hi > inj_ptr:
+                self._arrive(order[inj_ptr:hi], c, at_source=True)
+                inj_ptr = hi
+                grew = True
 
-            comb = self._w_comb
-            if comb.size == 0:
-                if inj_ptr >= n and not def_heap:
+            if not ws.size:
+                if inj_ptr >= n and not cal:
                     # Drained.  Remaining schedule events still apply (the
                     # event engine processes its _FAULT events regardless),
                     # so recovery bookkeeping and epoch marks stay exact;
@@ -534,166 +669,144 @@ class BatchedSimulator:
                             ev_ptr += 1
                         self._rebuild_masked()
                     break
-                # Skip idle cycles to the next external work: a pending
-                # injection, a channel-deferred arrival, or a fault event.
-                c = int(c0_sorted[inj_ptr]) if inj_ptr < n else def_heap[0]
-                if def_heap:
-                    c = min(c, def_heap[0])
-                if ev_ptr < n_ev_f:
-                    c = min(c, int(self._ev_cycles[ev_ptr]))
+                # Skip idle cycles to the next external work.
+                c = next_external()
                 continue
 
-            ports = comb >> _PORT_SHIFT
-            if grew and comb.size > max_q:
-                # Queue depth can only grow on cycles that enqueued.
-                counts = np.bincount(ports[ports < n_dir], minlength=0)
-                if counts.size:
-                    max_q = max(max_q, int(counts.max()))
-
-            # b) contention: one winner per port.  Unbounded buffers take
-            # the first of each segment of the sorted keys; finite buffers
-            # take the first entry of the segment whose downstream input
-            # buffer has room at the cycle's opening credits (the batch
-            # analogue of the event engine's round-robin VC skip) — a
-            # port whose whole segment is blocked stays idle this cycle.
-            if not finite:
-                first = np.empty(comb.size, dtype=bool)
-                first[0] = True
-                np.not_equal(ports[1:], ports[:-1], out=first[1:])
-            else:
-                seg_first = np.empty(comb.size, dtype=bool)
-                seg_first[0] = True
-                np.not_equal(ports[1:], ports[:-1], out=seg_first[1:])
-                is_ej = ports >= n_dir
-                vc_e = np.minimum(self._hops[self._w_idx], n_vcs - 1)
-                used = buf[np.where(is_ej, 0, ports), vc_e]
-                # Ejection ports never gate; a buffer always admits at
-                # least one packet, even oversized (event-engine parity).
-                elig = is_ej | (used == 0) | (used + size <= B)
-                pos = np.nonzero(elig)[0]
-                first = np.zeros(comb.size, dtype=bool)
-                if pos.size:
-                    seg_id = np.cumsum(seg_first)[pos]
-                    lead = np.empty(pos.size, dtype=bool)
-                    lead[0] = True
-                    np.not_equal(seg_id[1:], seg_id[:-1], out=lead[1:])
-                    first[pos[lead]] = True
-                if not first.any():
-                    # No port can move.  Credits only change when a winner
-                    # departs, so if external work is still due, nothing
-                    # happens until it lands — jump straight there.
-                    nxt_c = []
-                    if inj_ptr < n:
-                        nxt_c.append(int(c0_sorted[inj_ptr]))
-                    if def_heap:
-                        nxt_c.append(def_heap[0])
-                    if ev_ptr < n_ev_f:
-                        nxt_c.append(int(self._ev_cycles[ev_ptr]))
-                    if nxt_c:
-                        c = max(c + 1, min(nxt_c))
-                        continue
+            # b) contention, c) advance: one winner per port.
+            pending = self._step(c, grew)
+            if pending is None:
+                # Finite buffers block every port.  Credits only change
+                # when a winner departs, so if external work is still due,
+                # nothing happens until it lands — jump straight there.
+                nxt_c = next_external()
+                if nxt_c is None:
                     self._raise_deadlock(c)
-
-            widx = self._w_idx[first]
-            waited = c - ((comb[first] >> _ENQ_SHIFT) & _ENQ_MASK)
-            self._wait[widx] += waited
-            self._uncontested[widx] += waited == 0
-
-            eject = ports[first] >= n_dir
-            moved = widx[~eject]
-            moved_nxt = self._w_nxt[first][~eject]
-            if finite:
-                # Ejecting winners leave the network: release the input
-                # buffer each held (hold-until-departure, the batch mirror
-                # of NetworkSimulator._eject_done's _release_buffer).
-                ej_ids = widx[eject]
-                if ej_ids.size:
-                    self._ejected[ej_ids] = True
-                    held = ej_ids[self._occ_edge[ej_ids] >= 0]
-                    if held.size:
-                        np.subtract.at(
-                            buf,
-                            (self._occ_edge[held], self._occ_vc[held]),
-                            size,
-                        )
-                        self._occ_edge[held] = -1
-                moved_eid = ports[first][~eject]
-                moved_vc = np.minimum(self._hops[moved], n_vcs - 1)
-            extra: np.ndarray | None = None
-            if ch is not None and moved.size:
-                # Evaluate the lossy crossing at the pre-increment hop
-                # index — exactly where NetworkSimulator._port_done draws
-                # it — so both engines consume identical substreams.
-                ok, extra, retr = ch.crossings(
-                    self._ch_keys[moved], self._hops[moved]
-                )
-                rsum = int(retr.sum())
-                if rsum:
-                    stats.n_retransmits += rsum
-                if not ok.all():
-                    # _drop_pkts releases any held buffer; the lost packet
-                    # never occupies the downstream one.
-                    self._drop_pkts(moved[~ok], ch.config.drop_cause)
-                    if finite:
-                        moved_eid = moved_eid[ok]
-                        moved_vc = moved_vc[ok]
-                    moved = moved[ok]
-                    moved_nxt = moved_nxt[ok]
-                    extra = extra[ok]
-            if finite and moved.size:
-                # Credit transfer: release the buffer held upstream, occupy
-                # the one just filled downstream.  One winner per port per
-                # cycle means each (edge, VC) cell gains at most one
-                # packet's bytes per cycle, so the opening-credit check
-                # above can never oversubscribe a buffer.
-                held = moved[self._occ_edge[moved] >= 0]
-                if held.size:
-                    np.subtract.at(
-                        buf, (self._occ_edge[held], self._occ_vc[held]), size
-                    )
-                np.add.at(buf, (moved_eid, moved_vc), size)
-                self._occ_edge[moved] = moved_eid
-                self._occ_vc[moved] = moved_vc
-            if moved.size:
-                self._cur[moved] = moved_nxt
-                self._hops[moved] += 1
-                n_moves += int(moved.size)
-            if extra is not None and moved.size:
-                # Exact channel nanoseconds join the drain-time latency;
-                # arrivals shift by the whole cycles the delay spans.
-                self._ch_delay[moved] += extra
-                shift = (extra // tau).astype(np.int64)
-                near = shift == 0
-                pending = moved[near]
-                far = moved[~near]
-                if far.size:
-                    due_all = c + 1 + shift[~near]
-                    for cv in np.unique(due_all).tolist():
-                        lst = def_arr.get(cv)
-                        if lst is None:
-                            lst = def_arr[cv] = []
-                            heapq.heappush(def_heap, cv)
-                        lst.append(far[due_all == cv])
-            else:
-                pending = moved
-
-            # c) survivors keep their (still sorted) order.
-            keep = ~first
-            self._w_comb = comb[keep]
-            self._w_idx = self._w_idx[keep]
-            self._w_nxt = self._w_nxt[keep]
+                c = max(c + 1, nxt_c)
+                continue
             c += 1
-            if c >= _ENQ_MASK:  # pragma: no cover - absurdly long run
-                raise SimulationError(
-                    "batched run exceeded the cycle budget; use the event "
-                    "backend for simulations this long"
-                )
 
-        n = len(self._t0)
         # Event-count analogue for events/s reporting: one unit per
         # injection, per hop transmission, and per delivery.
-        stats.n_events = 2 * n + n_moves
-        stats.max_queue_bytes = max_q * self._size
+        self.stats.n_events = 2 * n + self._n_moves
+        self.stats.max_queue_bytes = self._max_q * self._size
+
+    def _step(self, c: int, grew: bool) -> np.ndarray | None:
+        """Serve one open-loop cycle: at most one winner per port.
+
+        Picks each port's winner, accounts its queueing, ejects it or
+        moves it one hop (through the lossy channel and the credit
+        transfer when configured), and removes the winners from the
+        waiting set.  ``grew`` says whether this cycle enqueued anything,
+        the only time the peak queue depth can rise.
+
+        Returns the packets arriving downstream next cycle (channel
+        delays spanning whole cycles go on the calendar instead), or
+        ``None`` when finite buffers block every port.
+        """
+        ws = self._waiting
+        n_dir = self._n_dir
+        ports = ws.ports()
+        if grew and ws.size > self._max_q:
+            self._max_q = max(
+                self._max_q, int(ws.port_load(n_dir).max())
+            )
+
+        # Unbounded buffers serve each port's head of line; finite ones
+        # gate the pick on downstream credit.
+        finite = self._buf_used is not None
+        if not finite:
+            win = ws.heads(ports)
+        else:
+            win = self._credit_heads(ports)
+            if not win.any():
+                return None
+
+        widx = ws.idx[win]
+        waited = c - ws.enqueue_cycles(win)
+        self._wait[widx] += waited
+        self._uncontested[widx] += waited == 0
+
+        wports = ports[win]
+        eject = wports >= n_dir
+        self._ejected[widx[eject]] = True
+        moved = widx[~eject]
+        moved_nxt = ws.nxt[win][~eject]
+        moved_eid = wports[~eject]
+        ws.remove(win)
+        if finite:
+            # Ejecting winners leave the network: release the input
+            # buffer each held (hold-until-departure, the batch mirror
+            # of NetworkSimulator._eject_done's _release_buffer).
+            self._release_buffers(widx[eject])
+        extra: np.ndarray | None = None
+        ch = self._channel
+        if ch is not None and moved.size:
+            # Evaluate the lossy crossing at the pre-increment hop
+            # index — exactly where NetworkSimulator._port_done draws
+            # it — so both engines consume identical substreams.
+            ok, extra, retr = ch.crossings(
+                self._ch_keys[moved], self._hops[moved]
+            )
+            self.stats.n_retransmits += int(retr.sum())
+            if not ok.all():
+                # _drop_pkts releases any held buffer; the lost packet
+                # never occupies the downstream one.
+                self._drop_pkts(moved[~ok], ch.config.drop_cause)
+                moved = moved[ok]
+                moved_nxt = moved_nxt[ok]
+                moved_eid = moved_eid[ok]
+                extra = extra[ok]
+        if finite and moved.size:
+            # Credit transfer: release the buffer held upstream, occupy
+            # the one just filled downstream.  One winner per port per
+            # cycle means each (edge, VC) cell gains at most one packet's
+            # bytes per cycle, so the opening-credit check can never
+            # oversubscribe a buffer.
+            moved_vc = np.minimum(self._hops[moved], self.n_vcs - 1)
+            self._release_buffers(moved)
+            np.add.at(self._buf_used, (moved_eid, moved_vc), self._size)
+            self._occ_edge[moved] = moved_eid
+            self._occ_vc[moved] = moved_vc
+        if not moved.size:
+            return moved
+        self._cur[moved] = moved_nxt
+        self._hops[moved] += 1
+        self._n_moves += int(moved.size)
+        if extra is None:
+            return moved
+        # Exact channel nanoseconds join the drain-time latency;
+        # arrivals shift by the whole cycles the delay spans.
+        self._ch_delay[moved] += extra
+        shift = (extra // self._tau).astype(np.int64)
+        near = shift == 0
+        if not near.all():
+            self._calendar.push(moved[~near], c + 1 + shift[~near])
+        return moved[near]
+
+    def _credit_heads(self, ports: np.ndarray) -> np.ndarray:
+        """Finite-buffer winner pick at the cycle's opening credits.
+
+        Per port, the first queued packet whose downstream input buffer
+        has room (the batch analogue of the event engine's round-robin
+        VC skip); a port whose whole segment is blocked stays idle.
+        """
+        ws = self._waiting
+        is_ej = ports >= self._n_dir
+        vc = np.minimum(self._hops[ws.idx], self.n_vcs - 1)
+        used = self._buf_used[np.where(is_ej, 0, ports), vc]
+        # Ejection ports never gate; a buffer always admits at least one
+        # packet, even oversized (event-engine parity).
+        elig = (
+            is_ej | (used == 0)
+            | (used + self._size <= self.config.buffer_bytes)
+        )
+        pos = np.nonzero(elig)[0]
+        win = np.zeros(ports.size, dtype=bool)
+        if pos.size:
+            segment = np.cumsum(ws.heads(ports))[pos]
+            win[pos[ws.heads(segment)]] = True
+        return win
 
     def _arrive(self, p: np.ndarray, c: int, at_source: bool) -> None:
         """Route a batch of packets arriving at their current router."""
@@ -814,15 +927,10 @@ class BatchedSimulator:
         stats.minimal_choices += int(p.size) - n_val
 
     def _enqueue(
-        self, p: np.ndarray, key: np.ndarray, c: int,
+        self, p: np.ndarray, port: np.ndarray, c: int,
         nxt: np.ndarray | None = None,
     ) -> None:
-        """Merge a batch into the sorted waiting set.
-
-        The packed key is ``port << 40 | cycle << 20 | tie-break``: new
-        entries sort after every already-waiting entry of the same port
-        (their cycle is the largest yet), so a sorted insert preserves the
-        FIFO discipline and the global order in one pass.
+        """Queue a batch on its ports at cycle ``c``.
 
         Open-loop mode breaks same-cycle ties uniformly at random (the
         batch analogue of the event engine's VC round-robin fairness).
@@ -831,47 +939,12 @@ class BatchedSimulator:
         later arrival first would idle the port against the event engine's
         continuous pipeline and systematically inflate latency.
         """
+        ws = self._waiting
         if self._msg_sizes is None:
-            tie = self.rng.integers(0, _ENQ_MASK, size=len(p))
+            tie = ws.random_ties(self.rng, len(p))
         else:
-            frac = self._t_arr[p] / self._cl_tau - (c - 1)
-            # Round, don't truncate: truncation turns the one-ulp float
-            # error of the fraction round-trip into off-by-one ties, so
-            # two packets with distinct quantized arrivals could collide
-            # and their order would depend on merge-batch boundaries
-            # (pinned by the permutation-invariance property test).
-            tie = np.clip(
-                np.rint(frac * (_ENQ_MASK - 1)).astype(np.int64),
-                0, _ENQ_MASK - 1,
-            )
-        comb = (
-            (key << _PORT_SHIFT)
-            | np.int64(c << _ENQ_SHIFT)
-            | tie
-        )
-        o = np.argsort(comb, kind="stable")
-        comb = comb[o]
-        if nxt is None:
-            nxt = np.full(len(p), -1, dtype=np.int64)
-        # Manual sorted merge (np.insert x3 costs ~3x as much): new
-        # entries land at searchsorted positions offset by their own rank.
-        old = self._w_comb
-        new_at = np.searchsorted(old, comb) + np.arange(len(comb))
-        total = len(old) + len(comb)
-        old_at = np.ones(total, dtype=bool)
-        old_at[new_at] = False
-        merged = np.empty(total, dtype=np.int64)
-        merged[new_at] = comb
-        merged[old_at] = old
-        self._w_comb = merged
-        idx = np.empty(total, dtype=np.int64)
-        idx[new_at] = p[o]
-        idx[old_at] = self._w_idx
-        self._w_idx = idx
-        nx = np.empty(total, dtype=np.int64)
-        nx[new_at] = nxt[o]
-        nx[old_at] = self._w_nxt
-        self._w_nxt = nx
+            tie = ws.arrival_ties(self._t_arr[p] / self._tau - (c - 1))
+        ws.push(p, port, c, tie, nxt)
 
     # -- fault epochs --------------------------------------------------------
     def _init_faults(self) -> None:
@@ -973,18 +1046,22 @@ class BatchedSimulator:
         if not k:
             return
         if self._buf_used is not None:
-            held = p[self._occ_edge[p] >= 0]
-            if held.size:
-                np.subtract.at(
-                    self._buf_used,
-                    (self._occ_edge[held], self._occ_vc[held]),
-                    self._size,
-                )
-                self._occ_edge[held] = -1
+            self._release_buffers(p)
         self._dropped[p] = True
         st = self.stats
         st.n_dropped += k
         st.drops[reason] = st.drops.get(reason, 0) + k
+
+    def _release_buffers(self, p: np.ndarray) -> None:
+        """Return the input-buffer credit each packet in ``p`` holds."""
+        held = p[self._occ_edge[p] >= 0]
+        if held.size:
+            np.subtract.at(
+                self._buf_used,
+                (self._occ_edge[held], self._occ_vc[held]),
+                self._size,
+            )
+            self._occ_edge[held] = -1
 
     def _raise_deadlock(self, c: int) -> None:
         """The waiting set is wedged with no external work left: raise.
@@ -996,11 +1073,11 @@ class BatchedSimulator:
         partial picture, and raises :class:`BufferDeadlockError`.
         """
         stats = self.stats
-        ports = self._w_comb >> _PORT_SHIFT
+        ws = self._waiting
         waits_for: dict = {}
         # Every queued packet contributes (buffer-less packets fresh from
         # their NIC can sit ahead of the chain-forming holders).
-        for pkt, port in zip(self._w_idx.tolist(), ports.tolist()):
+        for pkt, port in zip(ws.idx.tolist(), ws.ports().tolist()):
             if self._occ_edge[pkt] >= 0:
                 held = (int(self._occ_edge[pkt]), int(self._occ_vc[pkt]))
                 wanted = (
@@ -1008,7 +1085,7 @@ class BatchedSimulator:
                 )
                 waits_for[held] = wanted
         cycle = BufferDeadlockError.find_cycle(waits_for)
-        blocked = int(self._w_comb.size)
+        blocked = ws.size
         stats.deadlocked = True
         delivered = self._ejected & ~self._dropped
         undelivered = (
@@ -1030,12 +1107,12 @@ class BatchedSimulator:
         """
         mask = self._mask
         kind = ev.kind
-        requeue_eids: np.ndarray | None = None
-        drop_eids: np.ndarray | None = None
+        requeue_eids = drop_eids = np.empty(0, dtype=np.int64)
         dead_router = -1
         if kind == "link-down":
-            newly = np.asarray(mask.fail_link(ev.a, ev.b), dtype=np.int64)
-            requeue_eids = newly
+            requeue_eids = np.asarray(
+                mask.fail_link(ev.a, ev.b), dtype=np.int64
+            )
             label = f"link-down {ev.a}-{ev.b}"
         elif kind == "link-up":
             mask.restore_link(ev.a, ev.b)
@@ -1053,36 +1130,26 @@ class BatchedSimulator:
             self._alive_router[ev.a] = True
             label = f"router-up {ev.a}"
         rq = np.empty(0, dtype=np.int64)
-        if dead_router >= 0 or (requeue_eids is not None and len(requeue_eids)):
-            ports = self._w_comb >> _PORT_SHIFT
-            bad_rq = (
-                np.isin(ports, requeue_eids)
-                if requeue_eids is not None and len(requeue_eids)
-                else np.zeros(ports.size, dtype=bool)
-            )
-            bad_dp = (
-                np.isin(ports, drop_eids)
-                if drop_eids is not None and len(drop_eids)
-                else np.zeros(ports.size, dtype=bool)
-            )
+        if dead_router >= 0 or len(requeue_eids):
+            ws = self._waiting
+            ports = ws.ports()
+            bad_rq = np.isin(ports, requeue_eids)
+            bad_dp = np.isin(ports, drop_eids)
             if dead_router >= 0:
                 ep_lo = self._n_dir + dead_router * self._conc
                 bad_dp |= (ports >= ep_lo) & (ports < ep_lo + self._conc)
             if bad_dp.any():
-                self._drop_pkts(self._w_idx[bad_dp], "router-down")
+                self._drop_pkts(ws.idx[bad_dp], "router-down")
             if bad_rq.any():
-                rq = self._w_idx[bad_rq]
+                rq = ws.idx[bad_rq]
                 self.stats.n_requeued += int(rq.size)
                 # Credit the cycles spent queueing on the dead port, which
                 # the winner-pick accounting will never see (the packet
                 # re-enqueues with a fresh cycle stamp).
-                enq = (self._w_comb[bad_rq] >> _ENQ_SHIFT) & _ENQ_MASK
-                self._wait[rq] += c - enq
-            keep = ~(bad_rq | bad_dp)
-            if not keep.all():
-                self._w_comb = self._w_comb[keep]
-                self._w_idx = self._w_idx[keep]
-                self._w_nxt = self._w_nxt[keep]
+                self._wait[rq] += c - ws.enqueue_cycles(bad_rq)
+            gone = bad_rq | bad_dp
+            if gone.any():
+                ws.remove(gone)
         # Epoch snapshot; injected/delivered counts are only knowable at
         # drain time (latencies assemble analytically) and are filled in
         # by _fill_epochs.
@@ -1164,25 +1231,19 @@ class BatchedSimulator:
             # Fault/lossy mode: dropped packets never delivered; their
             # lat/t_del entries are meaningless and are excluded here.
             delivered_mask = ~self._dropped
+        t_del_k = t_del
         if delivered_mask is not None:
-            keep = delivered_mask
-            lat = lat[keep]
-            hops = hops[keep]
-            t_del_k = t_del[keep]
-            order = np.argsort(t_del_k, kind="stable")
-            stats.latencies_ns = lat[order].tolist()
-            stats.hops = hops[order].tolist()
-            stats.bytes_delivered = int(len(lat)) * self._size
-            if len(t_del_k):
-                stats.t_last_delivery = float(t_del_k.max())
-            if self._mask is not None:
-                self._fill_epochs(self._t0, t_del, keep)
-            return
-        order = np.argsort(t_del, kind="stable")  # event-engine-ish order
+            lat = lat[delivered_mask]
+            hops = hops[delivered_mask]
+            t_del_k = t_del[delivered_mask]
+        order = np.argsort(t_del_k, kind="stable")  # event-engine-ish order
         stats.latencies_ns = lat[order].tolist()
         stats.hops = hops[order].tolist()
         stats.bytes_delivered = int(len(lat)) * self._size
-        stats.t_last_delivery = float(t_del.max())
+        if len(t_del_k):
+            stats.t_last_delivery = float(t_del_k.max())
+        if self._mask is not None:
+            self._fill_epochs(self._t0, t_del, delivered_mask)
 
     # -- closed-loop motif workloads -----------------------------------------
     def run_closed_loop(self, messages, rank_to_ep) -> SimStats:
@@ -1225,25 +1286,21 @@ class BatchedSimulator:
                 backend="batched",
                 feature=capabilities.FAULTS,
             )
-        if self._buf_used is not None:
-            # Same story for the congestion features: the closed-loop
-            # frontier runner has no credit/channel machinery — use the
-            # event engine for congested motif studies.
-            raise BackendCapabilityError(
-                "the batched backend does not combine 'finite-buffers' "
-                "with closed-loop motif runs; use backend='event'",
-                backend="batched",
-                feature=capabilities.FINITE_BUFFERS,
-                supported_backends=("event",),
-            )
-        if self._channel is not None:
-            raise BackendCapabilityError(
-                "the batched backend does not combine 'lossy-links' "
-                "with closed-loop motif runs; use backend='event'",
-                backend="batched",
-                feature=capabilities.LOSSY_LINKS,
-                supported_backends=("event",),
-            )
+        # Same story for the congestion features: the closed-loop
+        # frontier runner has no credit/channel machinery — use the event
+        # engine for congested motif studies.
+        for on, feature in (
+            (self._buf_used is not None, capabilities.FINITE_BUFFERS),
+            (self._channel is not None, capabilities.LOSSY_LINKS),
+        ):
+            if on:
+                raise BackendCapabilityError(
+                    f"the batched backend does not combine {feature!r} "
+                    "with closed-loop motif runs; use backend='event'",
+                    backend="batched",
+                    feature=feature,
+                    supported_backends=("event",),
+                )
         if self.on_delivery is not None:
             capabilities.require(self.backend, capabilities.DELIVERY_CALLBACKS)
         n_msgs = len(messages)
@@ -1298,14 +1355,7 @@ class BatchedSimulator:
         self._ns_per_byte = 1.0 / self.config.bytes_per_ns
         self._nic_free = np.zeros(self.n_endpoints)
         self._port_free = np.zeros(self._n_dir + self.n_endpoints)
-        self._cl_tau = self._tau * CLOSED_LOOP_CYCLE_FACTOR
-        self._arrivals: dict[int, list] = {}
-        self._arr_heap: list[int] = []
-        self._cl_moves = 0
-
-        self._w_comb = np.empty(0, dtype=np.int64)
-        self._w_idx = np.empty(0, dtype=np.int64)
-        self._w_nxt = np.empty(0, dtype=np.int64)
+        self._start_loop()
 
         roots = np.nonzero(self._pending == 0)[0]
         self._released[roots] = True
@@ -1315,17 +1365,6 @@ class BatchedSimulator:
         self._cl_cycle_loop()
         self._cl_drain()
         return stats
-
-    def _cl_push(self, ids: np.ndarray, cyc: np.ndarray,
-                 at_source: bool) -> None:
-        """File a batch of router arrivals under their due cycles."""
-        for cv in np.unique(cyc).tolist():
-            chunk = ids[cyc == cv]
-            lst = self._arrivals.get(cv)
-            if lst is None:
-                lst = self._arrivals[cv] = []
-                heapq.heappush(self._arr_heap, cv)
-            lst.append((chunk, at_source))
 
     def _release_deps(
         self, d_ids: np.ndarray, t_del: np.ndarray
@@ -1372,7 +1411,7 @@ class BatchedSimulator:
         stats = self.stats
         nspb = self._ns_per_byte
         link = self._link
-        tau = self._cl_tau
+        tau = self._tau
         sizes = self._msg_sizes
         nic_free = self._nic_free
         t_arr = self._t_arr
@@ -1432,7 +1471,7 @@ class BatchedSimulator:
                 t_arr[oids] = t0
                 cyc = np.ceil(t0 / tau).astype(np.int64)
                 np.maximum(cyc, max(c, 0), out=cyc)
-                self._cl_push(oids, cyc, at_source=True)
+                self._calendar.push(oids, cyc, at_source=True)
             s_ids = ids[selfm]
             if not s_ids.size:
                 break
@@ -1443,7 +1482,8 @@ class BatchedSimulator:
             ids, t_call = self._release_deps(s_ids, t_del)
 
     def _cl_cycle_loop(self) -> None:
-        tau = self._cl_tau
+        """Closed-loop driver over the shared waiting set and calendar."""
+        tau = self._tau
         switch = self._switch
         link = self._link
         nspb = self._ns_per_byte
@@ -1451,10 +1491,12 @@ class BatchedSimulator:
         sizes = self._msg_sizes
         t_arr = self._t_arr
         port_free = self._port_free
+        ws = self._waiting
+        cal = self._calendar
         max_q = 0
-        if not self._arr_heap:
+        if not cal:
             return
-        c = self._arr_heap[0]
+        c = cal.next_cycle()
         while True:
             # Work the cycle to quiescence: arrivals merge into the waiting
             # set, winners cross their ports, their downstream arrivals may
@@ -1466,63 +1508,40 @@ class BatchedSimulator:
             # work does the cycle advance — this keeps ports work-
             # conserving and arrival-ordered against the event engine.
             progressed = False
-            if self._arr_heap and self._arr_heap[0] <= c:
-                # Consolidate every chunk due this cycle into at most two
-                # _arrive batches (source vs forwarded): the FIFO order
-                # inside the waiting set comes from the arrival-time
-                # tie-break, not the merge order, so batching is free —
-                # and one 500-packet _arrive costs a fraction of ten
-                # 50-packet ones.
-                src_chunks: list[np.ndarray] = []
-                fwd_chunks: list[np.ndarray] = []
-                while self._arr_heap and self._arr_heap[0] <= c:
-                    for chunk, at_src in self._arrivals.pop(
-                        heapq.heappop(self._arr_heap)
-                    ):
-                        (src_chunks if at_src else fwd_chunks).append(chunk)
-                if fwd_chunks:
-                    self._arrive(
-                        fwd_chunks[0] if len(fwd_chunks) == 1
-                        else np.concatenate(fwd_chunks),
-                        c, at_source=False,
-                    )
-                    progressed = True
-                if src_chunks:
-                    self._arrive(
-                        src_chunks[0] if len(src_chunks) == 1
-                        else np.concatenate(src_chunks),
-                        c, at_source=True,
-                    )
-                    progressed = True
-            if progressed and self._w_comb.size:
-                ports = self._w_comb >> _PORT_SHIFT
-                m = ports < n_dir
-                if m.any():
-                    qb = np.bincount(
-                        ports[m], weights=sizes[self._w_idx[m]]
-                    )
-                    if qb.size and int(qb.max()) > max_q:
-                        max_q = int(qb.max())
+            # Every batch due this cycle lands in at most two _arrive
+            # calls (source vs forwarded): the FIFO order inside the
+            # waiting set comes from the arrival-time tie-break, not the
+            # merge order, so batching is free — and one 500-packet
+            # _arrive costs a fraction of ten 50-packet ones.
+            fwd, src = cal.pop(c)
+            if fwd is not None:
+                self._arrive(fwd, c, at_source=False)
+                progressed = True
+            if src is not None:
+                self._arrive(src, c, at_source=True)
+                progressed = True
+            if progressed and ws.size:
+                qb = int(ws.port_load(n_dir, sizes).max())
+                if qb > max_q:
+                    max_q = qb
 
             # Contention: a port serves head-of-queue packets while its
             # fractional clock stays inside the cycle — several small
             # messages may cross one port per cycle, one large message
             # blocks its port for the cycles its serialization spans.
             limit = (c + 1) * tau
-            if self._w_comb.size:
-                comb = self._w_comb
-                ports = comb >> _PORT_SHIFT
-                first = np.empty(comb.size, dtype=bool)
-                first[0] = True
-                np.not_equal(ports[1:], ports[:-1], out=first[1:])
-                fpos = np.nonzero(first)[0]
-                fports = ports[fpos]
-                elig = port_free[fports] < limit
+            if ws.size:
+                ports = ws.ports()
+                win = ws.heads(ports)
+                fpos = np.nonzero(win)[0]
+                elig = port_free[ports[fpos]] < limit
                 if elig.any():
                     progressed = True
-                    wpos = fpos[elig]
-                    wports = fports[elig]
-                    widx = self._w_idx[wpos]
+                    win[fpos[~elig]] = False
+                    wports = ports[win]
+                    widx = ws.idx[win]
+                    wnxt = ws.nxt[win]
+                    ws.remove(win)
                     tp = t_arr[widx]
                     pf = port_free[wports]
                     S = sizes[widx] * nspb
@@ -1537,20 +1556,15 @@ class BatchedSimulator:
                     mv = ~eject
                     moved = widx[mv]
                     if moved.size:
-                        self._cur[moved] = self._w_nxt[wpos][mv]
+                        self._cur[moved] = wnxt[mv]
                         self._hops[moved] += 1
                         ta = done[mv] + link
                         t_arr[moved] = ta
                         cyc = np.maximum(
                             c, np.ceil(ta / tau).astype(np.int64)
                         )
-                        self._cl_push(moved, cyc, at_source=False)
-                        self._cl_moves += int(moved.size)
-                    keep = np.ones(comb.size, dtype=bool)
-                    keep[wpos] = False
-                    self._w_comb = comb[keep]
-                    self._w_idx = self._w_idx[keep]
-                    self._w_nxt = self._w_nxt[keep]
+                        cal.push(moved, cyc)
+                        self._n_moves += int(moved.size)
                     if ej.size:
                         td = done[eject] + link
                         self._done[ej] = True
@@ -1562,25 +1576,17 @@ class BatchedSimulator:
                 continue
 
             # Advance — skipping cycles in which nothing can happen.
-            if self._w_comb.size:
-                ports = self._w_comb >> _PORT_SHIFT
-                first = np.empty(ports.size, dtype=bool)
-                first[0] = True
-                np.not_equal(ports[1:], ports[:-1], out=first[1:])
-                ready_c = int(port_free[ports[first]].min() // tau)
+            if ws.size:
+                ports = ws.ports()
+                ready_c = int(port_free[ports[ws.heads(ports)]].min() // tau)
                 nxt = max(c + 1, ready_c)
-                if self._arr_heap:
-                    nxt = min(nxt, self._arr_heap[0])
+                if cal:
+                    nxt = min(nxt, cal.next_cycle())
                 c = max(c + 1, nxt)
-            elif self._arr_heap:
-                c = max(c + 1, self._arr_heap[0])
+            elif cal:
+                c = max(c + 1, cal.next_cycle())
             else:
                 break
-            if c >= _ENQ_MASK:  # pragma: no cover - absurdly long run
-                raise SimulationError(
-                    "batched run exceeded the cycle budget; use the event "
-                    "backend for simulations this long"
-                )
         self.stats.max_queue_bytes = max_q
 
     def _cl_drain(self) -> None:
@@ -1598,4 +1604,4 @@ class BatchedSimulator:
         stats.hops = self._hops[d].tolist()
         stats.bytes_delivered = int(self._msg_sizes[d].sum())
         stats.t_last_delivery = float(self._t_del[d].max())
-        stats.n_events = 2 * int(d.size) + self._cl_moves
+        stats.n_events = 2 * int(d.size) + self._n_moves

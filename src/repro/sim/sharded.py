@@ -17,17 +17,24 @@ process pool:
   contention.  Contiguity means the span's directed-edge ids are one
   contiguous block of the head-major CSR edge order, and the ejection
   ports of its routers' endpoints are contiguous too — no port is shared.
-* The loop is bulk-synchronous: each cycle, every worker picks its port
-  winners, advances them one hop, and reports packets whose next router
-  lies outside its span to the parent hub (full state: id, router, hops,
-  wait, uncontested, Valiant intermediate, phase).  The hub forwards each
-  export to its new owner for the next cycle, computes the global next
-  cycle (idle-skipping exactly like the single-process loop), and detects
-  termination (no queued packets, no pending injections, no in-flight
-  exports anywhere).
+* The loop is bulk-synchronous: each cycle, every worker runs the
+  single-process engine's own cycle step,
+  :meth:`~repro.sim.batched.BatchedSimulator._step`, over its share of
+  the waiting set (winner pick, wait accounting, eject or advance), and
+  reports packets whose next router lies outside its span to the parent
+  hub (full state: id, router, hops, wait, uncontested, Valiant
+  intermediate, phase).  The worker itself only speaks the hub protocol:
+  it applies imports, injects its sources, and splits moved packets into
+  local and exported.  The hub forwards each export to its new owner for
+  the next cycle, computes the global next cycle (idle-skipping exactly
+  like the single-process loop), and detects termination (no queued
+  packets, no pending injections, no in-flight exports anywhere).
 * On stop, workers return their delivered packets' final counters; the
   parent scatters them into its own arrays and runs the inherited
   analytic ``_drain()``.
+* A worker that dies mid-run surfaces as a structured
+  :class:`~repro.errors.ShardWorkerError` naming the worker and its
+  router span; the hub then terminates and joins every other worker.
 
 Determinism and equivalence: each worker draws from its own
 ``default_rng((root, wid))`` stream, where ``root`` comes from the parent
@@ -48,19 +55,16 @@ import multiprocessing as mp
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ShardWorkerError
 from repro.partition import contiguous_ranges
 from repro.sim import capabilities
-from repro.sim.batched import _ENQ_MASK, _ENQ_SHIFT, _PORT_SHIFT, BatchedSimulator
+from repro.sim.batched import BatchedSimulator
 from repro.sim.stats import SimStats
 
 #: Below this many packets the fork + per-cycle pipe traffic costs more
 #: than it saves; the run falls through to the inherited single-process
 #: cycle loop (same results contract either way).
 MIN_PACKETS_TO_SHARD = 4096
-
-#: Columns of the in-flight export records (one row per migrating packet).
-_STATE_COLS = 7  # pid, cur, hops, wait, uncontested, inter, phase
 
 
 class ShardedSimulator(BatchedSimulator):
@@ -119,70 +123,89 @@ class ShardedSimulator(BatchedSimulator):
         root = int(self.rng.integers(np.iinfo(np.int64).max))
         ctx = mp.get_context("fork")
         conns, procs = [], []
-        for wid, (lo, hi) in enumerate(spans):
-            parent_c, child_c = ctx.Pipe()
-            p = ctx.Process(
-                target=self._worker_main,
-                args=(wid, lo, hi, child_c, root),
-                daemon=True,
+
+        def failed(w: int, detail: str) -> ShardWorkerError:
+            procs[w].join(timeout=1.0)  # collect the exit code if it died
+            return ShardWorkerError(
+                w, spans[w], exitcode=procs[w].exitcode, detail=detail
             )
-            p.start()
-            child_c.close()
-            conns.append(parent_c)
-            procs.append(p)
 
-        # next_local[w]: the next cycle at which worker w has work of its
-        # own (queued packets or a pending injection); None = idle.
-        next_local: list[int | None] = [None] * workers
-        for w in range(workers):
-            tag, nxt = conns[w].recv()
-            assert tag == "ready"
-            next_local[w] = nxt
-        imports: list[list[np.ndarray]] = [[] for _ in range(workers)]
-        c = None
-        while True:
-            cands = [v for v in next_local if v is not None]
-            if any(len(q) for q in imports):
-                # Exports produced at cycle c arrive at cycle c + 1; they
-                # cap any idle skip.
-                cands.append(c + 1)
-            if not cands:
-                break
-            c = min(cands)
-            for w in range(workers):
-                q = imports[w]
-                imp = (
-                    np.concatenate(q)
-                    if q
-                    else np.empty((0, _STATE_COLS), dtype=np.int64)
+        def send(w: int, msg) -> None:
+            try:
+                conns[w].send(msg)
+            except OSError as e:
+                raise failed(w, f"pipe closed ({e})") from None
+
+        def recv(w: int):
+            try:
+                return conns[w].recv()
+            except (EOFError, OSError):
+                raise failed(w, "pipe closed mid-run") from None
+
+        try:
+            for wid, (lo, hi) in enumerate(spans):
+                parent_c, child_c = ctx.Pipe()
+                p = ctx.Process(
+                    target=self._worker_main,
+                    args=(wid, lo, hi, child_c, root),
+                    daemon=True,
                 )
-                imports[w] = []
-                conns[w].send((c, imp))
-            for w in range(workers):
-                nxt, exports = conns[w].recv()
-                next_local[w] = nxt
-                if len(exports):
-                    to = owner[exports[:, 1]]
-                    for t in np.unique(to):
-                        imports[int(t)].append(exports[to == t])
+                p.start()
+                child_c.close()
+                conns.append(parent_c)
+                procs.append(p)
 
-        # Gather: delivered counters + per-worker stats, then join.
-        stats = self.stats
-        n_moves = 0
-        max_q = 0
-        for w in range(workers):
-            conns[w].send(None)  # stop
-            done, hops, wait, unc, st = conns[w].recv()
-            self._hops[done] = hops
-            self._wait[done] = wait
-            self._uncontested[done] = unc
-            n_moves += st["n_moves"]
-            max_q = max(max_q, st["max_q"])
-            stats.minimal_choices += st["minimal_choices"]
-            stats.valiant_choices += st["valiant_choices"]
-            conns[w].close()
-        for p in procs:
-            p.join()
+            # next_local[w]: the next cycle at which worker w has work of
+            # its own (queued packets or a pending injection); None = idle.
+            next_local: list[int | None] = [None] * workers
+            for w in range(workers):
+                tag, nxt = recv(w)
+                if tag != "ready":
+                    raise failed(w, f"expected a ready handshake, got {tag!r}")
+                next_local[w] = nxt
+            imports: list[list[np.ndarray]] = [[] for _ in range(workers)]
+            c = None
+            while True:
+                cands = [v for v in next_local if v is not None]
+                if any(imports):
+                    # Exports produced at cycle c arrive at cycle c + 1;
+                    # they cap any idle skip.
+                    cands.append(c + 1)
+                if not cands:
+                    break
+                c = min(cands)
+                for w in range(workers):
+                    send(w, (c, imports[w]))
+                    imports[w] = []
+                for w in range(workers):
+                    nxt, exports = recv(w)
+                    next_local[w] = nxt
+                    if exports is not None:
+                        to = owner[exports[:, 1]]
+                        for t in np.unique(to):
+                            imports[int(t)].append(exports[to == t])
+
+            # Gather: delivered counters + per-worker stats.
+            stats = self.stats
+            n_moves = 0
+            max_q = 0
+            for w in range(workers):
+                send(w, None)  # stop
+                done, hops, wait, unc, st = recv(w)
+                self._hops[done] = hops
+                self._wait[done] = wait
+                self._uncontested[done] = unc
+                n_moves += st["n_moves"]
+                max_q = max(max_q, st["max_q"])
+                stats.minimal_choices += st["minimal_choices"]
+                stats.valiant_choices += st["valiant_choices"]
+        finally:
+            for conn in conns:
+                conn.close()
+            for p in procs:
+                if p.is_alive():
+                    p.terminate()
+                p.join()
         n = len(self._t0)
         stats.n_events = 2 * n + n_moves
         stats.max_queue_bytes = max_q * self._size
@@ -191,114 +214,73 @@ class ShardedSimulator(BatchedSimulator):
     def _worker_main(self, wid, lo, hi, conn, root) -> None:
         try:
             self._worker_loop(wid, lo, hi, conn, root)
-        except BaseException:  # pragma: no cover - crash diagnostics
-            conn.close()  # unblock the hub with EOFError instead of a hang
-            raise
+        finally:
+            conn.close()  # a crash reaches the hub as a closed pipe
+
+    def _migrating_state(self) -> tuple[np.ndarray, ...]:
+        """Per-packet arrays a packet carries when it changes shards.
+
+        An export row is the packet id followed by these, in order.
+        """
+        return (
+            self._cur, self._hops, self._wait, self._uncontested,
+            self._inter, self._phase,
+        )
 
     def _worker_loop(self, wid, lo, hi, conn, root) -> None:
         """One shard's cycle loop (runs in a forked child).
 
-        The pristine subset of ``BatchedSimulator._cycle_loop`` (no faults,
-        no finite buffers, no channel), restricted to routers ``[lo, hi)``,
-        with the hub barrier replacing the global cycle bookkeeping.
+        Serves routers ``[lo, hi)`` with the inherited :meth:`_step`; this
+        loop keeps only the hub protocol: apply imports, inject the span's
+        sources, and split the moved packets into local and exported.
         """
         self.rng = np.random.default_rng((root, wid))
         self.routing.rng = self.rng
-        n_dir = self._n_dir
         stats = self.stats
         stats.minimal_choices = 0
         stats.valiant_choices = 0
+        self._start_loop()
+        ws = self._waiting
 
         mine = np.nonzero((self._cur >= lo) & (self._cur < hi))[0]
         order = mine[np.argsort(self._c0[mine], kind="stable")]
         c0_sorted = self._c0[order]
         inj_ptr = 0
         n_inj = len(order)
-        self._w_comb = np.empty(0, dtype=np.int64)
-        self._w_idx = np.empty(0, dtype=np.int64)
-        self._w_nxt = np.empty(0, dtype=np.int64)
-        pending: np.ndarray | None = None
-        done: list[np.ndarray] = []
-        n_moves = 0
-        max_q = 0
+        pending = np.empty(0, dtype=np.int64)
 
         conn.send(("ready", int(c0_sorted[0]) if n_inj else None))
-        while True:
-            msg = conn.recv()
-            if msg is None:
-                break
+        while (msg := conn.recv()) is not None:
             c, imports = msg
-            if len(imports):
-                pid = imports[:, 0]
+            if imports:
+                rows = np.concatenate(imports)
+                pid = rows[:, 0]
                 # The exporter's copies of these rows are authoritative;
                 # ours went stale the moment the packet left our span.
-                self._cur[pid] = imports[:, 1]
-                self._hops[pid] = imports[:, 2]
-                self._wait[pid] = imports[:, 3]
-                self._uncontested[pid] = imports[:, 4]
-                self._inter[pid] = imports[:, 5]
-                self._phase[pid] = imports[:, 6]
+                for col, arr in enumerate(self._migrating_state(), 1):
+                    arr[pid] = rows[:, col]
                 self._arrive(pid, c, at_source=False)
-            if pending is not None and pending.size:
+            if pending.size:
                 self._arrive(pending, c, at_source=False)
             hi_p = int(np.searchsorted(c0_sorted, c, side="right"))
-            newly = order[inj_ptr:hi_p]
-            inj_ptr = hi_p
-            if newly.size:
-                self._arrive(newly, c, at_source=True)
-            pending = None
+            if hi_p > inj_ptr:
+                self._arrive(order[inj_ptr:hi_p], c, at_source=True)
+                inj_ptr = hi_p
 
-            exports = np.empty((0, _STATE_COLS), dtype=np.int64)
-            comb = self._w_comb
-            if comb.size:
-                ports = comb >> _PORT_SHIFT
-                if comb.size > max_q:
-                    counts = np.bincount(ports[ports < n_dir], minlength=0)
-                    if counts.size:
-                        max_q = max(max_q, int(counts.max()))
-                first = np.empty(comb.size, dtype=bool)
-                first[0] = True
-                np.not_equal(ports[1:], ports[:-1], out=first[1:])
-                widx = self._w_idx[first]
-                waited = c - ((comb[first] >> _ENQ_SHIFT) & _ENQ_MASK)
-                self._wait[widx] += waited
-                self._uncontested[widx] += waited == 0
-                eject = ports[first] >= n_dir
-                if eject.any():
-                    done.append(widx[eject])
-                moved = widx[~eject]
-                if moved.size:
-                    nxt_r = self._w_nxt[first][~eject]
-                    self._cur[moved] = nxt_r
-                    self._hops[moved] += 1
-                    n_moves += int(moved.size)
-                    away = (nxt_r < lo) | (nxt_r >= hi)
-                    pending = moved[~away]
-                    exp = moved[away]
-                    if exp.size:
-                        exports = np.stack(
-                            [
-                                exp,
-                                self._cur[exp],
-                                self._hops[exp],
-                                self._wait[exp],
-                                self._uncontested[exp],
-                                self._inter[exp],
-                                self._phase[exp],
-                            ],
-                            axis=1,
-                        )
-                keep = ~first
-                self._w_comb = comb[keep]
-                self._w_idx = self._w_idx[keep]
-                self._w_nxt = self._w_nxt[keep]
-                if c + 1 >= _ENQ_MASK:  # pragma: no cover - absurd run
-                    raise SimulationError(
-                        "sharded run exceeded the cycle budget; use the "
-                        "event backend for simulations this long"
+            pending = np.empty(0, dtype=np.int64)
+            exports = None
+            if ws.size:
+                moved = self._step(c, grew=True)
+                away = (self._cur[moved] < lo) | (self._cur[moved] >= hi)
+                pending = moved[~away]
+                exp = moved[away]
+                if exp.size:
+                    exports = np.stack(
+                        [exp] + [a[exp] for a in self._migrating_state()],
+                        axis=1,
                     )
 
-            if self._w_comb.size or (pending is not None and pending.size):
+            if ws.size or pending.size:
                 nxt_c: int | None = c + 1
             elif inj_ptr < n_inj:
                 nxt_c = int(c0_sorted[inj_ptr])
@@ -306,9 +288,7 @@ class ShardedSimulator(BatchedSimulator):
                 nxt_c = None
             conn.send((nxt_c, exports))
 
-        ids = (
-            np.concatenate(done) if done else np.empty(0, dtype=np.int64)
-        )
+        ids = np.nonzero(self._ejected)[0]
         conn.send(
             (
                 ids,
@@ -316,11 +296,10 @@ class ShardedSimulator(BatchedSimulator):
                 self._wait[ids],
                 self._uncontested[ids],
                 {
-                    "n_moves": n_moves,
-                    "max_q": max_q,
+                    "n_moves": self._n_moves,
+                    "max_q": self._max_q,
                     "minimal_choices": stats.minimal_choices,
                     "valiant_choices": stats.valiant_choices,
                 },
             )
         )
-        conn.close()

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.routing import RoutingTables, make_routing
 from repro.sim import SimConfig
-from repro.sim.batched import _ENQ_MASK, _PORT_SHIFT, BatchedSimulator
+from repro.sim.batched import BatchedSimulator, _WaitingSet
 from repro.sim.faults import FaultSchedule
 from repro.sim.traffic import OpenLoopSource, make_traffic
 from repro.topology import build_lps
@@ -51,11 +51,7 @@ def _fresh_engine(parts) -> BatchedSimulator:
     # packed key is a deterministic function of the packet.
     n = 128
     net._msg_sizes = np.full(n, 64, dtype=np.int64)
-    net._cl_tau = net._tau
     net._t_arr = np.zeros(n)
-    net._w_comb = np.empty(0, dtype=np.int64)
-    net._w_idx = np.empty(0, dtype=np.int64)
-    net._w_nxt = np.empty(0, dtype=np.int64)
     return net
 
 
@@ -69,7 +65,8 @@ def _waiting_entries(draw):
     )
     # Globally unique quantized offsets => unique packed keys per port.
     offsets = draw(
-        st.lists(st.integers(min_value=0, max_value=_ENQ_MASK - 2),
+        st.lists(st.integers(min_value=0,
+                             max_value=_WaitingSet.ENQ_MASK - 2),
                  min_size=n, max_size=n, unique=True)
     )
     n_chunks = draw(st.integers(min_value=1, max_value=4))
@@ -85,14 +82,12 @@ def _enqueue_all(net, pids, ports, cycle, chunks):
 
 def _winners(net):
     """One winner per port: first of each sorted segment."""
-    comb = net._w_comb
-    if not comb.size:
+    ws = net._waiting
+    if not ws.size:
         return {}
-    port = comb >> _PORT_SHIFT
-    first = np.empty(comb.size, dtype=bool)
-    first[0] = True
-    np.not_equal(port[1:], port[:-1], out=first[1:])
-    return dict(zip(port[first].tolist(), net._w_idx[first].tolist()))
+    port = ws.ports()
+    first = ws.heads(port)
+    return dict(zip(port[first].tolist(), ws.idx[first].tolist()))
 
 
 class TestWaitingSetPermutationInvariance:
@@ -108,10 +103,10 @@ class TestWaitingSetPermutationInvariance:
         def run(order):
             net = _fresh_engine(parts)
             # Arrival time within the cycle encodes the tie-break exactly.
-            t0 = (cycle - 1) * net._cl_tau
+            t0 = (cycle - 1) * net._tau
             for pid, off in zip(range(n), offsets):
-                net._t_arr[pid] = t0 + net._cl_tau * (
-                    off / (_ENQ_MASK - 1)
+                net._t_arr[pid] = t0 + net._tau * (
+                    off / (_WaitingSet.ENQ_MASK - 1)
                 )
             chunks = np.array_split(np.asarray(order, dtype=np.int64),
                                     n_chunks)
@@ -122,11 +117,12 @@ class TestWaitingSetPermutationInvariance:
         b = run(perm)
 
         # Identical waiting sets: same keys, same packets, same order.
-        assert a._w_comb.tolist() == b._w_comb.tolist()
-        assert a._w_idx.tolist() == b._w_idx.tolist()
-        assert a._w_nxt.tolist() == b._w_nxt.tolist()
+        wa, wb = a._waiting, b._waiting
+        assert wa.comb.tolist() == wb.comb.tolist()
+        assert wa.idx.tolist() == wb.idx.tolist()
+        assert wa.nxt.tolist() == wb.nxt.tolist()
         # No packet lost or duplicated by the sorted merges.
-        assert sorted(a._w_idx.tolist()) == list(range(n))
+        assert sorted(wa.idx.tolist()) == list(range(n))
         # And the contention winners are identical per port.
         assert _winners(a) == _winners(b)
 
@@ -137,11 +133,13 @@ class TestWaitingSetPermutationInvariance:
         n = len(ports_l)
         net = _fresh_engine(parts)
         for pid, off in zip(range(n), offsets):
-            net._t_arr[pid] = 2 * net._cl_tau * (off / (_ENQ_MASK - 1))
+            net._t_arr[pid] = 2 * net._tau * (
+                off / (_WaitingSet.ENQ_MASK - 1)
+            )
         chunks = np.array_split(np.asarray(perm, dtype=np.int64), n_chunks)
         _enqueue_all(net, np.arange(n, dtype=np.int64),
                      np.asarray(ports_l, dtype=np.int64), 2, chunks)
-        comb = net._w_comb
+        comb = net._waiting.comb
         assert np.all(comb[:-1] <= comb[1:])
 
 
@@ -212,7 +210,7 @@ class TestEpochRewriteConservation:
         assert sum(stats.drops.values()) == stats.n_dropped
         assert int(net._dropped.sum()) == stats.n_dropped
         # The waiting set fully drained.
-        assert net._w_comb.size == 0
+        assert net._waiting.size == 0
         # Every schedule event produced its epoch mark.
         assert len(stats.epochs) == len(schedule)
 

@@ -14,6 +14,8 @@ per cycle (BSP over pipes; see ``docs/scaling.md``).  Pinned here:
 * **Honest refusals** — ugal (needs global queue state) and every
   unsupported capability raise canonically instead of silently running
   wrong.
+* **Worker crashes** — a worker that dies mid-run raises a structured
+  ``ShardWorkerError`` and leaves no child process behind.
 
 ``MIN_PACKETS_TO_SHARD`` is monkeypatched to 0 so these small runs take
 the real forked path rather than the single-process fallback.
@@ -22,12 +24,17 @@ the real forked path rather than the single-process fallback.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing as mp
 
 import numpy as np
 import pytest
 
 import repro.sim.sharded as sharded_mod
-from repro.errors import BackendCapabilityError, SimulationError
+from repro.errors import (
+    BackendCapabilityError,
+    ShardWorkerError,
+    SimulationError,
+)
 from repro.experiments.common import build_synthetic_sim
 from repro.routing import RoutingTables, make_routing
 from repro.sim import ShardedSimulator, SimConfig
@@ -201,3 +208,26 @@ class TestOracleBackedSharding:
         stats = net.run()
         assert len(stats.latencies_ns) == stats.n_injected > 0
         assert net.tables._dist is None
+
+
+class TestWorkerCrash:
+    def test_crash_raises_structured_error_and_reaps_workers(
+        self, topo, monkeypatch
+    ):
+        real_loop = ShardedSimulator._worker_loop
+
+        def crash_worker_1(self, wid, lo, hi, conn, root):
+            if wid == 1:
+                raise RuntimeError("injected worker crash")
+            return real_loop(self, wid, lo, hi, conn, root)
+
+        monkeypatch.setattr(ShardedSimulator, "_worker_loop", crash_worker_1)
+        with pytest.raises(ShardWorkerError) as info:
+            _run(topo, 3, seed=2)
+        err = info.value
+        assert isinstance(err, SimulationError)
+        assert err.worker == 1
+        assert err.span == contiguous_ranges(topo.graph.n, 3)[1]
+        assert f"routers [{err.span[0]}, {err.span[1]})" in str(err)
+        # The surviving workers were terminated and joined, not leaked.
+        assert mp.active_children() == []
