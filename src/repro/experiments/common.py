@@ -7,7 +7,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.graphs.metrics import average_distance, diameter, girth
+from repro.graphs.bfs import distance_profile
+from repro.graphs.metrics import girth
 from repro.partition import bisection_bandwidth
 from repro.routing import RoutingTables, make_routing
 from repro.sim import capabilities
@@ -102,12 +103,13 @@ def structural_row(
     """One Table I row for a topology."""
     g = topo.graph
     vt = topo.vertex_transitive
+    _, diam, mean = distance_profile(g)
     row = {
         "topology": topo.name,
         "routers": topo.n_routers,
         "radix": topo.radix,
-        "diameter": diameter(g, sample=1 if vt else None),
-        "avg_distance": round(average_distance(g), 2),
+        "diameter": diam,
+        "avg_distance": round(mean, 2),
         "girth": girth(g, assume_vertex_transitive=vt, sample=None if vt else 64),
         "mu1": round(mu1(g), 2),
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import ExperimentResult, cached_size_class
+from repro.graphs.bfs import distance_profile
 from repro.graphs.failures import resilience_trials
 from repro.graphs.metrics import average_distance, diameter
 from repro.partition import bisection_bandwidth
@@ -38,12 +39,13 @@ def run(
         for prop in proportions:
             if prop == 0.0:
                 g = topo.graph
+                _, diam, mean = distance_profile(g)
                 rows.append(
                     {
                         "topology": topo.name,
                         "failed": 0.0,
-                        "diameter": float(diameter(g, sample=1 if topo.vertex_transitive else None)),
-                        "avg_hops": round(average_distance(g), 3),
+                        "diameter": float(diam),
+                        "avg_hops": round(mean, 3),
                         "bisection": float(bisection_bandwidth(g, repeats=2, seed=seed)),
                         "trials": 1,
                     }

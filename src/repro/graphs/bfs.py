@@ -1,13 +1,21 @@
 """Level-synchronous BFS kernels.
 
-Two implementations are provided:
+Three kernels are provided:
 
 * :func:`bfs_distances` — single-source frontier BFS using vectorised
   neighbour gathering (no per-vertex Python loop).
-* :func:`distance_matrix` / :func:`distance_profile` — multi-source BFS as
-  blocked sparse-matrix x dense-block products, the idiom that makes
-  all-pairs statistics (diameter, average distance, Table I) feasible at the
-  paper's 7K-vertex scale in pure Python.
+* :func:`distance_matrix` — multi-source hop distances as blocked
+  sparse-matrix x dense-block products, used where the per-pair distances
+  themselves are needed (routing tables).
+* :func:`distance_profile` — the all-sources distance histogram, diameter
+  and mean (Table I, Fig. 5), computed bit-parallel: every vertex holds a
+  ``uint64`` bitset with one bit per source, one BFS level for all sources
+  is a gather of the frontier bitsets over the CSR neighbour lists, an OR
+  per row (``np.bitwise_or.reduceat``) and a mask by ``~visited``, and
+  ``np.bitwise_count`` of the new bits is that level's histogram bin.
+  Sources go in blocks of ``batch`` (512, i.e. 8 words per vertex, by
+  default), so a block's largest temporary — the gathered bitsets —
+  holds ``nnz x 64`` bytes.
 """
 
 from __future__ import annotations
@@ -88,30 +96,87 @@ def distance_matrix(
     return out
 
 
+if hasattr(np, "bitwise_count"):
+
+    def _popcount(words: np.ndarray) -> int:
+        return int(np.bitwise_count(words).sum())
+
+else:  # numpy < 2.0
+
+    def _popcount(words: np.ndarray) -> int:
+        return int(np.unpackbits(words.view(np.uint8)).sum())
+
+
+def level_counts(
+    g: CSRGraph, sources: np.ndarray, batch: int = 512
+) -> tuple[np.ndarray, int]:
+    """Bit-parallel multi-source BFS: (pairs per hop distance, unreached pairs).
+
+    ``counts[d]`` is the number of (source, vertex) pairs at distance ``d``,
+    self pairs included in ``counts[0]``; a source listed twice counts
+    twice.  The second value is the number of pairs with no path.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    n = g.n
+    # reduceat needs strictly increasing, in-range row offsets, so rows with
+    # no neighbours are left out of it (they never receive a bit).
+    nonempty = np.diff(g.indptr) > 0
+    offsets = g.indptr[:-1][nonempty]
+    dense = bool(nonempty.all())
+    counts = [0]
+    unreached = 0
+    for lo in range(0, len(sources), batch):
+        block = sources[lo : lo + batch]
+        width = len(block)
+        bit = np.arange(width)
+        frontier = np.zeros((n, (width + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(
+            frontier, (block, bit >> 6), np.uint64(1) << (bit & 63).astype(np.uint64)
+        )
+        visited = frontier.copy()
+        counts[0] += width
+        reached = width
+        level = 0
+        while True:
+            level += 1
+            reach = np.bitwise_or.reduceat(frontier[g.indices], offsets, axis=0)
+            if dense:
+                new = reach
+            else:
+                new = np.zeros_like(frontier)
+                new[nonempty] = reach
+            new &= ~visited
+            found = _popcount(new)
+            if not found:
+                break
+            if level == len(counts):
+                counts.append(0)
+            counts[level] += found
+            reached += found
+            visited |= new
+            frontier = new
+        unreached += width * n - reached
+    return np.array(counts, dtype=np.int64), unreached
+
+
 def distance_profile(
     g: CSRGraph, sources: np.ndarray | None = None, batch: int = 512
 ) -> tuple[np.ndarray, int, float]:
     """Return (histogram of pairwise distances, diameter, mean distance).
 
-    Streams over source blocks without materialising the full matrix, so it
-    works at any size the BFS itself can handle.  Pairs (u, u) are excluded
-    from the mean; disconnected pairs raise.
+    The histogram counts (source, vertex) pairs by hop distance with the
+    (u, u) self pairs dropped; the diameter is the largest distance from
+    any source (the graph diameter when ``sources`` is every vertex).
+    Raises ``ValueError`` if some vertex is unreachable from a source.
     """
     if sources is None:
         sources = np.arange(g.n, dtype=np.int64)
-    hist = np.zeros(1, dtype=np.int64)
-    for lo in range(0, len(sources), batch):
-        block = sources[lo : lo + batch]
-        dmat = distance_matrix(g, block, batch=batch)
-        if np.any(dmat < 0):
-            raise ValueError("graph is disconnected; distances undefined")
-        top = int(dmat.max())
-        if top + 1 > len(hist):
-            hist = np.concatenate([hist, np.zeros(top + 1 - len(hist), np.int64)])
-        hist += np.bincount(dmat.ravel(), minlength=len(hist))[: len(hist)]
-    hist0 = hist.copy()
-    hist0[0] = 0  # drop the (u, u) self pairs
-    total_pairs = int(hist0.sum())
-    mean = float((np.arange(len(hist0)) * hist0).sum() / total_pairs)
-    diam = int(np.max(np.nonzero(hist0)[0]))
-    return hist0, diam, mean
+    hist, unreached = level_counts(g, sources, batch)
+    if unreached:
+        raise ValueError("graph is disconnected; distances undefined")
+    hist[0] = 0  # drop the (u, u) self pairs
+    total_pairs = int(hist.sum())
+    if not total_pairs:
+        return hist, 0, 0.0
+    mean = float((np.arange(len(hist)) * hist).sum() / total_pairs)
+    return hist, len(hist) - 1, mean

@@ -62,11 +62,13 @@ def resilience_trials(
 ) -> tuple[float, int]:
     """Average ``metric`` over random edge-failure trials, CV-stopped.
 
-    Runs ``batches`` batches of ``x`` trials each, doubling... the paper
-    grows x in powers of 10; we grow x by x*10 while the coefficient of
-    variation of the batch means exceeds ``cv_target``.  Disconnected trial
-    graphs are redrawn when ``require_connected`` (the paper only evaluates
-    below the disconnection threshold, where this is rare).
+    Runs ``batches`` batches of ``x`` trials each, starting at
+    ``x = initial_trials``.  While the coefficient of variation of the
+    batch means exceeds ``cv_target``, the whole batch set is rerun with
+    ``x`` grown tenfold (the paper's powers-of-10 escalation), capped at
+    ``max_trials_per_batch``; the run at the cap is the last.  Disconnected
+    trial graphs are redrawn when ``require_connected`` (the paper only
+    evaluates below the disconnection threshold, where this is rare).
 
     Returns ``(mean, total_trials_used)``.
 

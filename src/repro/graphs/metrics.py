@@ -47,20 +47,13 @@ def is_bipartite(g: CSRGraph) -> bool:
 
 
 def diameter(g: CSRGraph, sample: int | None = None, seed: int = 0) -> int:
-    """Maximum eccentricity.
+    """Maximum eccentricity; raises ``ValueError`` on a disconnected graph.
 
     ``sample`` limits the number of BFS sources (exact when None); for
     vertex-transitive graphs a single source is exact, and callers that know
     transitivity pass ``sample=1``.
     """
-    sources = _pick_sources(g.n, sample, seed)
-    best = 0
-    for s in sources:
-        dist = bfs_distances(g, int(s))
-        if np.any(dist == UNREACHED):
-            raise ValueError("graph is disconnected; diameter undefined")
-        best = max(best, int(dist.max()))
-    return best
+    return distance_profile(g, _pick_sources(g.n, sample, seed))[1]
 
 
 def average_distance(g: CSRGraph, sample: int | None = None, seed: int = 0) -> float:

@@ -3,8 +3,12 @@
 One FM pass greedily moves the best-gain movable vertex (respecting the
 balance tolerance), locks it, updates neighbour gains, and finally rolls
 back to the best prefix seen.  Passes repeat until a pass yields no
-improvement.  Gains live in a lazy max-heap, which keeps the implementation
-compact while staying O(m log n) per pass.
+improvement.  Gains live in a lazy max-heap keyed ``(-gain, v)``, so ties
+go to the lowest vertex id, which keeps the implementation compact while
+staying O(m log n) per pass.  The pass copies its state (gains, sides,
+side weights, locks, CSR rows and edge weights) into plain Python lists
+once, because the move loop does per-vertex work where numpy scalar
+indexing would cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -58,59 +62,72 @@ def _fm_pass(
     lo_limit: int,
     hi_limit: int,
 ) -> tuple[bool, np.ndarray, int]:
-    n = wg.n
-    gains = _gains(wg, labels)
-    side_w = np.array(
-        [int(wg.vweights[labels == 0].sum()), int(wg.vweights[labels == 1].sum())]
-    )
-    locked = np.zeros(n, dtype=bool)
-    heap: list[tuple[int, int]] = [(-int(gains[v]), v) for v in range(n)]
+    # The move loop touches one vertex and its neighbours at a time, so its
+    # state lives in plain lists: numpy scalar indexing would dominate it.
+    gains = _gains(wg, labels).tolist()
+    side = labels.tolist()
+    vweights = wg.vweights.tolist()
+    indptr = wg.indptr.tolist()
+    indices = wg.indices.tolist()
+    twice_w = (2 * wg.eweights).tolist()
+    side_w = [0, 0]
+    for s, vw in zip(side, vweights):
+        side_w[s] += vw
+    locked = [False] * wg.n
+    # A vertex is live while it has a heap entry at its current gain that
+    # has not been popped: popping it moves or drops the vertex, a gain
+    # update makes it live again.  Once no vertex is live, every entry
+    # left in the heap would be skipped, so the pass ends there.
+    live = [True] * wg.n
+    n_live = wg.n
+    heap = [(-gain, v) for v, gain in enumerate(gains)]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
 
     moves: list[int] = []
     cut_trace: list[int] = []
     cur_cut = cut
-    while heap:
-        neg_gain, v = heapq.heappop(heap)
-        if locked[v] or -neg_gain != gains[v]:
+    while n_live:
+        neg_gain, v = pop(heap)
+        if not live[v] or -neg_gain != gains[v]:
             continue  # stale entry
-        src = int(labels[v])
+        live[v] = False
+        n_live -= 1
+        src = side[v]
         dst = 1 - src
-        vw = int(wg.vweights[v])
+        vw = vweights[v]
         # Balance feasibility of moving v from src to dst.
         if side_w[src] - vw < lo_limit or side_w[dst] + vw > hi_limit:
             continue
         # Apply the move.
         locked[v] = True
-        labels[v] = dst
+        side[v] = dst
         side_w[src] -= vw
         side_w[dst] += vw
-        cur_cut -= int(gains[v])
+        cur_cut -= gains[v]
         moves.append(v)
         cut_trace.append(cur_cut)
         # Update neighbour gains.
-        nbrs, wts = wg.neighbors(v)
-        for u, w in zip(nbrs.tolist(), wts.tolist()):
+        lo, hi = indptr[v], indptr[v + 1]
+        for u, w2 in zip(indices[lo:hi], twice_w[lo:hi]):
             if locked[u]:
                 continue
-            if labels[u] == dst:
-                gains[u] -= 2 * w
-            else:
-                gains[u] += 2 * w
-            heapq.heappush(heap, (-int(gains[u]), u))
+            gain = gains[u] - w2 if side[u] == dst else gains[u] + w2
+            gains[u] = gain
+            push(heap, (-gain, u))
+            if not live[u]:
+                live[u] = True
+                n_live += 1
 
     if not moves:
         return False, labels, cut
-    best_idx = int(np.argmin(cut_trace))
-    best_cut = cut_trace[best_idx]
+    best_cut = min(cut_trace)
     if best_cut >= cut:
-        # Roll back everything.
-        for v in moves:
-            labels[v] = 1 - labels[v]
-        return False, labels, cut
-    # Roll back moves after the best prefix.
-    for v in moves[best_idx + 1 :]:
-        labels[v] = 1 - labels[v]
+        return False, labels, cut  # roll back everything
+    # Keep the moves up to the first best prefix; roll back the rest.
+    best_idx = cut_trace.index(best_cut)
+    moved = np.asarray(moves[: best_idx + 1], dtype=np.int64)
+    labels[moved] = 1 - labels[moved]
     return True, labels, best_cut
 
 
