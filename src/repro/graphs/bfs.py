@@ -122,7 +122,6 @@ def level_counts(
     # no neighbours are left out of it (they never receive a bit).
     nonempty = np.diff(g.indptr) > 0
     offsets = g.indptr[:-1][nonempty]
-    dense = bool(nonempty.all())
     counts = [0]
     unreached = 0
     for lo in range(0, len(sources), batch):
@@ -139,12 +138,8 @@ def level_counts(
         level = 0
         while True:
             level += 1
-            reach = np.bitwise_or.reduceat(frontier[g.indices], offsets, axis=0)
-            if dense:
-                new = reach
-            else:
-                new = np.zeros_like(frontier)
-                new[nonempty] = reach
+            new = np.zeros_like(frontier)
+            new[nonempty] = np.bitwise_or.reduceat(frontier[g.indices], offsets, axis=0)
             new &= ~visited
             found = _popcount(new)
             if not found:

@@ -8,7 +8,9 @@ go to the lowest vertex id, which keeps the implementation compact while
 staying O(m log n) per pass.  The pass copies its state (gains, sides,
 side weights, locks, CSR rows and edge weights) into plain Python lists
 once, because the move loop does per-vertex work where numpy scalar
-indexing would cost more than the arithmetic.
+indexing would cost more than the arithmetic.  A pass stops popping once
+no vertex has an unpopped heap entry at its current gain: every entry
+left would be skipped.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ def _fm_pass(
     lo_limit: int,
     hi_limit: int,
 ) -> tuple[bool, np.ndarray, int]:
-    # The move loop touches one vertex and its neighbours at a time, so its
-    # state lives in plain lists: numpy scalar indexing would dominate it.
     gains = _gains(wg, labels).tolist()
     side = labels.tolist()
     vweights = wg.vweights.tolist()

@@ -88,25 +88,22 @@ def collect_bisect(g: CSRGraph, seed: int) -> dict:
     return {"cut": int(cut), "labels_sha256": digest}
 
 
-def bisect_id(gid: str, seed: int) -> str:
-    return f"{gid}/seed={seed}"
-
-
 def bisect_cells() -> list[tuple[str, str, int]]:
     """(entry id, graph id, seed) for every pinned bisection."""
     return [
-        (bisect_id(gid, seed), gid, seed)
+        (f"{gid}/seed={seed}", gid, seed)
         for gid, (_, bisected) in graph_cells().items()
         if bisected
         for seed in BISECT_SEEDS
     ]
 
 
-def _load() -> dict:
-    return json.loads(GOLDEN_PATH.read_text())
-
-
-GOLDEN = _load() if GOLDEN_PATH.exists() else {"profiles": {}, "bisections": {}}
+# The generator imports this module before the corpus exists.
+GOLDEN = (
+    json.loads(GOLDEN_PATH.read_text())
+    if GOLDEN_PATH.exists()
+    else {"profiles": {}, "bisections": {}}
+)
 
 
 def test_corpus_matches_cell_list():
