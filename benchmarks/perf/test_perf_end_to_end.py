@@ -9,29 +9,20 @@ gated (see ``BENCH_sim.json`` for the tracked trajectory).
 
 import pytest
 
-from repro.runner.bench import BENCH_PRESETS, run_cell
-from repro.topology import SIM_CONFIGS
+from repro.runner.bench import BENCH_PRESETS, run_cell, section_cells
+
+_CELLS = section_cells("smoke", "cells")
 
 
 @pytest.mark.parametrize("backend", BENCH_PRESETS["smoke"]["backends"])
 @pytest.mark.parametrize(
-    "routing,pattern", BENCH_PRESETS["smoke"]["cells"], ids=lambda c: str(c)
+    "cell", _CELLS, ids=[f"{c['routing']}-{c['pattern']}" for c in _CELLS]
 )
-def test_smoke_cell_throughput(benchmark, routing, pattern, backend):
-    spec = BENCH_PRESETS["smoke"]
-    cfg = SIM_CONFIGS[spec["scale"]]
-    topo_spec = cfg["topologies"][spec["topologies"][0]]
-    topo = topo_spec["build"]()
-
+def test_smoke_cell_throughput(benchmark, cell, backend):
+    routing, pattern = cell["routing"], cell["pattern"]
     row = benchmark.pedantic(
         run_cell,
-        args=(topo, routing, pattern, spec["load"]),
-        kwargs=dict(
-            concentration=topo_spec["concentration"],
-            n_ranks=spec["n_ranks"],
-            packets_per_rank=spec["packets_per_rank"],
-            backend=backend,
-        ),
+        args=(cell, backend),
         rounds=1,
         iterations=1,
         warmup_rounds=0,

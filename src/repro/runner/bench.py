@@ -3,15 +3,23 @@
 Simulated packets/second is the binding constraint on how many
 loads x patterns x topologies x sizes the reproduction can sweep, so the
 simulator's speed is a tracked artifact rather than folklore.  This module
-measures
+measures three sections of cells, each a plain dict run by the one
+:func:`run_cell` (build outside the timer, time the engine run alone,
+turn the stats into a row) under the one best-of-``repeats`` loop
+:func:`run_section`:
 
-* **end-to-end cells** — the small-preset saturation driver's engine
+* ``cells`` — the small-preset saturation driver's engine
   (:func:`repro.experiments.common.build_synthetic_sim`) across
-  topology x routing x pattern cells, timing ``net.run()`` alone and
-  reporting packets/s and events/s per cell;
-* **micro benchmarks** — the per-hop primitives the fast path is built
-  from: directed-edge-id lookup, minimal-next-hop selection, and
-  single-draw vs block-drawn RNG.
+  topology x routing x pattern, reporting packets/s and events/s;
+* ``scenario_cells`` — a closed-loop motif, a chunk-level collective, a
+  mid-run-faulted, a congested (finite credits + lossy channel) and a
+  searched-topology run, labelled by :data:`WORKLOAD_LABELS`;
+* ``scale_cells`` — oracle-routed LPS instances past the dense-table
+  wall on the process-sharded engine.
+
+Plus **micro benchmarks** — the per-hop primitives the fast path is built
+from: directed-edge-id lookup, minimal-next-hop selection, and
+single-draw vs block-drawn RNG.
 
 Results are written to ``BENCH_sim.json``; the committed copy at the repo
 root records the perf trajectory (the pre-optimization baseline is stored
@@ -176,117 +184,26 @@ BENCH_PRESETS: dict[str, dict[str, Any]] = {
 BENCH_SEED = 0
 
 
-# ---------------------------------------------------------------------------
-# End-to-end cells
-# ---------------------------------------------------------------------------
-def run_cell(
-    topo,
-    routing: str,
-    pattern: str,
-    load: float,
-    concentration: int,
-    n_ranks: int,
-    packets_per_rank: int,
-    seed: int = BENCH_SEED,
-    backend: str = "event",
-    faults=None,
-) -> dict[str, Any]:
-    """Build one synthetic-traffic sim, time ``net.run()``, summarise.
+#: The sections of a bench run, named as in ``BENCH_sim.json``.
+SECTIONS = ("cells", "scenario_cells", "scale_cells")
 
-    ``faults`` optionally attaches a :class:`FaultSchedule` — the faulted
-    scenario cell times the full degraded run (epoch boundaries on the
-    batched engine, handler-path forwarding on the event engine).
-    """
-    from repro.experiments.common import build_synthetic_sim
+#: Scenario kind -> the ``workload`` label of its rows, formatted from the
+#: cell's own keys.
+WORKLOAD_LABELS = {
+    "motif": "motif:{motif}",
+    "collective": "collective:{collective}-{algorithm}",
+    "faulted": "faulted:{fail_fraction}",
+    "congested": "congested:b{buffer_packets}-p{loss_prob}",
+    "searched": "searched:b{budget}",
+}
 
-    net = build_synthetic_sim(
-        topo,
-        routing,
-        pattern,
-        load,
-        concentration=concentration,
-        n_ranks=n_ranks,
-        packets_per_rank=packets_per_rank,
-        seed=seed,
-        backend=backend,
-        faults=faults,
-    )
-    t0 = time.perf_counter()
-    stats = net.run()
-    wall = time.perf_counter() - t0
-    summary = stats.summary()
-    delivered = int(summary.get("delivered", 0))
-    n_events = int(getattr(stats, "n_events", 0))
-    return {
-        "topology": topo.name,
-        "routing": routing,
-        "pattern": pattern,
-        "load": load,
-        "backend": backend,
-        "n_ranks": n_ranks,
-        "packets_per_rank": packets_per_rank,
-        "delivered": delivered,
-        "events": n_events,
-        "wall_s": round(wall, 4),
-        "packets_per_s": round(delivered / wall, 1) if wall > 0 else 0.0,
-        "events_per_s": round(n_events / wall, 1) if wall > 0 else 0.0,
-        "mean_latency_ns": round(float(summary.get("mean_latency_ns", 0.0)), 2),
-        "mean_hops": round(float(summary.get("mean_hops", 0.0)), 4),
-    }
-
-
-def run_end_to_end(
-    preset: str,
-    repeats: int = 1,
-    progress=None,
-    backends: tuple[str, ...] | None = None,
-) -> list[dict[str, Any]]:
-    """Run every cell of ``preset`` ``repeats`` times; keep the best wall.
-
-    Each (topology, routing, pattern) cell runs once per backend in
-    ``backends`` (default: the preset's list), so the tracked file carries
-    event and batched rows for the same work at the same seed.
-    """
-    from repro.topology import SIM_CONFIGS
-
-    spec = BENCH_PRESETS[preset]
-    cfg = SIM_CONFIGS[spec["scale"]]
-    names = spec["topologies"] or tuple(cfg["topologies"])
-    if backends is None:
-        backends = spec.get("backends", ("event",))
-    rows = []
-    for name in names:
-        topo_spec = cfg["topologies"][name]
-        topo = topo_spec["build"]()
-        for routing, pattern in spec["cells"]:
-            for backend in backends:
-                best: dict[str, Any] | None = None
-                for _ in range(max(1, repeats)):
-                    row = run_cell(
-                        topo,
-                        routing,
-                        pattern,
-                        spec["load"],
-                        concentration=topo_spec["concentration"],
-                        n_ranks=spec["n_ranks"],
-                        packets_per_rank=spec["packets_per_rank"],
-                        backend=backend,
-                    )
-                    if best is None or row["wall_s"] < best["wall_s"]:
-                        best = row
-                rows.append(best)
-                if progress is not None:
-                    progress(
-                        f"  {best['topology']:>12} {best['routing']:>8} "
-                        f"{best['pattern']:>8} {best['backend']:>8}: "
-                        f"{best['packets_per_s']:>10,.0f} pkt/s "
-                        f"({best['wall_s']:.2f}s)"
-                    )
-    return rows
+#: Cell keys a row echoes (when the cell has them).
+_ROW_KEYS = ("name", "routing", "pattern", "load", "shard_workers", "oracle",
+             "n_ranks", "packets_per_rank")
 
 
 # ---------------------------------------------------------------------------
-# Scenario cells: motif workloads and fault schedules, per backend
+# Cells: one runner for every section
 # ---------------------------------------------------------------------------
 def _make_motif(kind: str, n_ranks: int):
     from repro.workloads import FFTMotif, Halo3D26Motif, Sweep3DMotif
@@ -306,382 +223,240 @@ def _make_motif(kind: str, n_ranks: int):
     raise ValueError(f"unknown bench motif {kind!r}")
 
 
-def run_motif_cell(
-    topo,
-    routing: str,
-    motif_kind: str,
-    concentration: int,
-    n_ranks: int,
-    seed: int = BENCH_SEED,
-    backend: str = "event",
-) -> dict[str, Any]:
-    """Time one closed-loop motif run (workload generation untimed)."""
-    from repro.experiments.common import cached_tables
+def _build_topology(cell: dict[str, Any]):
+    """The cell's topology and its concentration (endpoints per router).
+
+    ``p``/``q`` build an LPS instance (the scale cells), ``n_routers`` an
+    edge-swap-searched one, and otherwise ``topology`` names an entry of
+    the ``scale`` size class in :data:`repro.topology.SIM_CONFIGS`.
+    """
+    from repro.topology import SIM_CONFIGS, build_lps, swap_searched_topology
+
+    if "p" in cell:
+        return build_lps(cell["p"], cell["q"]), cell["concentration"]
+    if "n_routers" in cell:
+        topo = swap_searched_topology(
+            cell["n_routers"], cell["radix"], budget=cell["budget"],
+            seed=BENCH_SEED,
+        )
+        return topo, cell["concentration"]
+    spec = SIM_CONFIGS[cell["scale"]]["topologies"][cell["topology"]]
+    return spec["build"](), spec["concentration"]
+
+
+def _assemble(cell: dict[str, Any], backend: str):
+    """Build everything ``cell`` needs on ``backend``, running nothing.
+
+    Returns ``(topology, net, run)``: ``run()`` is the engine run to time,
+    ``net`` the open-loop simulator (``None`` for closed-loop cells).
+    """
+    from functools import partial
+
+    from repro.experiments.common import build_synthetic_sim, cached_tables
     from repro.routing import make_routing
-    from repro.sim import SimConfig
-    from repro.workloads import run_motif
-
-    tables = cached_tables(topo)
-    policy = make_routing(routing, tables, seed=seed)
-    motif = _make_motif(motif_kind, n_ranks)
-    messages = motif.generate()
-    cfg = SimConfig(concentration=concentration)
-    t0 = time.perf_counter()
-    out = run_motif(
-        topo, policy, motif, cfg, placement_seed=seed + 1,
-        backend=backend, messages=messages,
-    )
-    wall = time.perf_counter() - t0
-    n = int(out["n_messages"])
-    return {
-        "workload": f"motif:{motif_kind}",
-        "topology": topo.name,
-        "routing": routing,
-        "backend": backend,
-        "n_ranks": n_ranks,
-        "messages": n,
-        "delivered": int(out["delivered"]),
-        "wall_s": round(wall, 4),
-        "messages_per_s": round(n / wall, 1) if wall > 0 else 0.0,
-        "makespan_ns": round(float(out["makespan_ns"]), 2),
-        "mean_latency_ns": round(float(out["mean_latency_ns"]), 2),
-    }
-
-
-def run_collective_cell(
-    topo,
-    routing: str,
-    collective: str,
-    algorithm: str,
-    concentration: int,
-    n_ranks: int,
-    total_bytes: int,
-    seed: int = BENCH_SEED,
-    backend: str = "event",
-) -> dict[str, Any]:
-    """Time one chunk-level collective run (schedule build untimed)."""
-    from repro.experiments.common import cached_tables
-    from repro.routing import make_routing
-    from repro.sim import SimConfig
-    from repro.workloads import CollectiveMotif, run_collective
-
-    tables = cached_tables(topo)
-    policy = make_routing(routing, tables, seed=seed)
-    motif = CollectiveMotif(
-        collective, algorithm, n_ranks, total_bytes=total_bytes
-    )
-    motif.generate()  # build the schedule outside the timer
-    cfg = SimConfig(concentration=concentration)
-    t0 = time.perf_counter()
-    out = run_collective(
-        topo, policy, motif, cfg, placement_seed=seed + 1, backend=backend,
-    )
-    wall = time.perf_counter() - t0
-    n = int(out["n_messages"])
-    return {
-        "workload": f"collective:{collective}-{algorithm}",
-        "topology": topo.name,
-        "routing": routing,
-        "backend": backend,
-        "n_ranks": n_ranks,
-        "messages": n,
-        "delivered": int(out["delivered"]),
-        "wall_s": round(wall, 4),
-        "messages_per_s": round(n / wall, 1) if wall > 0 else 0.0,
-        "makespan_ns": round(float(out["makespan_ns"]), 2),
-        "chunk_done_p99_ns": round(float(out["chunk_done_p99_ns"]), 2),
-    }
-
-
-def run_faulted_cell(
-    topo,
-    routing: str,
-    pattern: str,
-    load: float,
-    concentration: int,
-    n_ranks: int,
-    packets_per_rank: int,
-    fail_fraction: float,
-    recover: bool = True,
-    seed: int = BENCH_SEED,
-    backend: str = "event",
-) -> dict[str, Any]:
-    """Time one open-loop run with a mid-run link-fault schedule."""
-    from repro.sim import SimConfig
+    from repro.sim import ChannelConfig, SimConfig
     from repro.sim.faults import FaultSchedule
+    from repro.workloads import CollectiveMotif, run_collective, run_motif
 
-    cfg = SimConfig(concentration=concentration)
-    horizon = (
-        packets_per_rank * cfg.packet_bytes / (load * cfg.bytes_per_ns)
-    )
-    schedule = FaultSchedule.random_link_faults(
-        topo.graph,
-        fail_fraction,
-        t_fail=0.25 * horizon,
-        seed=seed + 1,
-        t_recover=0.75 * horizon if recover else None,
-    )
-    row = run_cell(
+    topo, concentration = _build_topology(cell)
+    opts: dict[str, Any] = {"concentration": concentration}
+    if "shard_workers" in cell:
+        opts["shard_workers"] = cell["shard_workers"]
+    if "buffer_packets" in cell:
+        # Finite credit/backpressure input buffers of ``buffer_packets``
+        # packets — the saturation-congestion configuration.
+        opts["finite_buffers"] = cell["buffer_packets"] > 0
+        opts["buffer_bytes"] = max(cell["buffer_packets"], 1) * 4096
+    if cell.get("loss_prob", 0.0) > 0.0:
+        opts["channel"] = ChannelConfig(
+            loss_prob=cell["loss_prob"], jitter_ns=10.0,
+            max_attempts=cell.get("max_attempts", 2), backoff_ns=30.0,
+            seed=BENCH_SEED,
+        )
+    cfg = SimConfig(**opts)
+    if "motif" in cell or "collective" in cell:
+        # Closed loop: the message DAG (or collective schedule) is built
+        # here, outside the timer.
+        policy = make_routing(cell["routing"], cached_tables(topo),
+                              seed=BENCH_SEED)
+        kw = {"placement_seed": BENCH_SEED + 1, "backend": backend}
+        if "collective" in cell:
+            motif = CollectiveMotif(
+                cell["collective"], cell["algorithm"], cell["n_ranks"],
+                total_bytes=cell["total_bytes"],
+            )
+            motif.generate()
+            return topo, None, partial(run_collective, topo, policy, motif,
+                                       cfg, **kw)
+        motif = _make_motif(cell["motif"], cell["n_ranks"])
+        kw["messages"] = motif.generate()
+        return topo, None, partial(run_motif, topo, policy, motif, cfg, **kw)
+    faults = None
+    if "fail_fraction" in cell:
+        # Links fail a quarter of the way through the injection horizon
+        # and (with ``recover``) come back at three quarters.
+        horizon = (
+            cell["packets_per_rank"] * cfg.packet_bytes
+            / (cell["load"] * cfg.bytes_per_ns)
+        )
+        faults = FaultSchedule.random_link_faults(
+            topo.graph,
+            cell["fail_fraction"],
+            t_fail=0.25 * horizon,
+            seed=BENCH_SEED + 1,
+            t_recover=0.75 * horizon if cell.get("recover", True) else None,
+        )
+    net = build_synthetic_sim(
         topo,
-        routing,
-        pattern,
-        load,
+        cell["routing"],
+        cell["pattern"],
+        cell["load"],
         concentration=concentration,
-        n_ranks=n_ranks,
-        packets_per_rank=packets_per_rank,
-        seed=seed,
+        n_ranks=cell["n_ranks"],
+        packets_per_rank=cell["packets_per_rank"],
+        seed=BENCH_SEED,
+        config=cfg,
+        faults=faults,
         backend=backend,
-        faults=schedule,
+        oracle=cell.get("oracle"),
     )
-    row["workload"] = f"faulted:{fail_fraction}"
+    return topo, net, net.run
+
+
+def _rate(n: int, wall: float) -> float:
+    return round(n / wall, 1) if wall > 0 else 0.0
+
+
+def run_cell(cell: dict[str, Any], backend: str = "event") -> dict[str, Any]:
+    """Run one bench cell on ``backend`` and turn its stats into a row.
+
+    The cell's keys say what runs: ``topology`` (with ``scale``), ``p``/
+    ``q`` or ``n_routers`` pick the topology; ``motif`` or ``collective``
+    a closed-loop run, otherwise ``routing``/``pattern``/``load`` open-loop
+    traffic; ``fail_fraction`` adds a mid-run link-fault schedule,
+    ``buffer_packets``/``loss_prob`` finite credit buffers and a lossy
+    retransmitting channel, ``oracle``/``shard_workers`` the on-demand
+    routing oracle and the sharded engine's pool; ``kind`` labels a
+    scenario row's ``workload`` (:data:`WORKLOAD_LABELS`).
+
+    Only the engine run is timed (``wall_s``); building the topology,
+    tables, workload and simulator is ``setup_wall_s``.  An ``oracle``
+    cell must never materialise the dense distance matrix — asserted, not
+    assumed, since that is what keeps the million-node path honest.
+    """
+    from repro.errors import SimulationError
+
+    t0 = time.perf_counter()
+    topo, net, run = _assemble(cell, backend)
+    setup_wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    out = run()
+    wall = time.perf_counter() - t0
+    if "oracle" in cell and net.tables._dist is not None:
+        raise SimulationError(
+            f"bench cell {cell.get('name', topo.name)!r} materialised the "
+            "dense distance matrix; the oracle seam leaked"
+        )
+    row: dict[str, Any] = {"topology": topo.name, "backend": backend}
+    if "kind" in cell:
+        row["workload"] = WORKLOAD_LABELS[cell["kind"]].format(**cell)
+    row.update((k, cell[k]) for k in _ROW_KEYS if k in cell)
+    if net is None:
+        n = int(out["n_messages"])
+        row.update(messages=n, delivered=int(out["delivered"]),
+                   messages_per_s=_rate(n, wall))
+        for key in ("makespan_ns", "mean_latency_ns", "chunk_done_p99_ns"):
+            if key in out:
+                row[key] = round(float(out[key]), 2)
+    else:
+        summary = out.summary()
+        delivered = int(summary.get("delivered", 0))
+        row.update(
+            delivered=delivered,
+            dropped=int(out.n_dropped),
+            retransmits=int(out.n_retransmits),
+            events=int(out.n_events),
+            packets_per_s=_rate(delivered, wall),
+            events_per_s=_rate(int(out.n_events), wall),
+            mean_latency_ns=round(float(summary.get("mean_latency_ns", 0.0)), 2),
+            mean_hops=round(float(summary.get("mean_hops", 0.0)), 4),
+        )
+    if "oracle" in cell:
+        row["routers"] = topo.n_routers
+        row["dense_table_bytes_avoided"] = int(topo.n_routers) ** 2 * 2
+    row["setup_wall_s"] = round(setup_wall, 4)
+    row["wall_s"] = round(wall, 4)
     return row
 
 
-def run_congested_cell(
-    topo,
-    routing: str,
-    pattern: str,
-    load: float,
-    concentration: int,
-    n_ranks: int,
-    packets_per_rank: int,
-    buffer_packets: int,
-    loss_prob: float,
-    max_attempts: int = 2,
-    seed: int = BENCH_SEED,
-    backend: str = "event",
-) -> dict[str, Any]:
-    """Time one open-loop run under congestion realism.
+def section_cells(preset: str, section: str) -> list[dict[str, Any]]:
+    """The cells of one section of ``preset``, each a self-contained dict.
 
-    Finite credit/backpressure input buffers of ``buffer_packets``
-    packets plus a lossy retransmitting channel — the configuration the
-    saturation-congestion experiment sweeps, timed per backend so the
-    batched credit loop's speedup is a tracked figure.
+    ``cells`` crosses the preset's topologies with its (routing, pattern)
+    pairs; ``scenario_cells`` tags each scenario with its ``kind``;
+    ``scale_cells`` are taken as they are.
     """
-    from repro.experiments.common import build_synthetic_sim
-    from repro.sim import ChannelConfig, SimConfig
+    spec = BENCH_PRESETS[preset]
+    if section == "cells":
+        from repro.topology import SIM_CONFIGS
 
-    cfg = SimConfig(
-        concentration=concentration,
-        finite_buffers=buffer_packets > 0,
-        buffer_bytes=max(buffer_packets, 1) * 4096,
-        channel=ChannelConfig(
-            loss_prob=loss_prob, jitter_ns=10.0,
-            max_attempts=max_attempts, backoff_ns=30.0, seed=seed,
-        ) if loss_prob > 0.0 else None,
-    )
-    net = build_synthetic_sim(
-        topo, routing, pattern, load, concentration=concentration,
-        n_ranks=n_ranks, packets_per_rank=packets_per_rank, seed=seed,
-        config=cfg, backend=backend,
-    )
-    t0 = time.perf_counter()
-    stats = net.run()
-    wall = time.perf_counter() - t0
-    summary = stats.summary()
-    delivered = int(summary.get("delivered", 0))
-    return {
-        "workload": f"congested:b{buffer_packets}-p{loss_prob}",
-        "topology": topo.name,
-        "routing": routing,
-        "pattern": pattern,
-        "load": load,
-        "backend": backend,
-        "n_ranks": n_ranks,
-        "packets_per_rank": packets_per_rank,
-        "delivered": delivered,
-        "dropped": int(stats.n_dropped),
-        "retransmits": int(stats.n_retransmits),
-        "events": int(getattr(stats, "n_events", 0)),
-        "wall_s": round(wall, 4),
-        "packets_per_s": round(delivered / wall, 1) if wall > 0 else 0.0,
-        "mean_latency_ns": round(
-            float(summary.get("mean_latency_ns", 0.0)), 2
-        ),
-    }
+        names = spec["topologies"] or tuple(
+            SIM_CONFIGS[spec["scale"]]["topologies"]
+        )
+        return [
+            {"scale": spec["scale"], "topology": name, "routing": routing,
+             "pattern": pattern, "load": spec["load"],
+             "n_ranks": spec["n_ranks"],
+             "packets_per_rank": spec["packets_per_rank"]}
+            for name in names
+            for routing, pattern in spec["cells"]
+        ]
+    if section == "scenario_cells":
+        return [
+            {"scale": spec["scale"], "kind": kind, **sc}
+            for kind, sc in (spec.get("scenarios") or {}).items()
+        ]
+    if section == "scale_cells":
+        return list(spec.get("scale_cells") or ())
+    raise ValueError(f"unknown bench section {section!r}; options {SECTIONS}")
 
 
-def run_scenarios(
+def run_section(
     preset: str,
+    section: str,
     repeats: int = 1,
     progress=None,
     backends: tuple[str, ...] | None = None,
 ) -> list[dict[str, Any]]:
-    """Run the preset's scenario cells (motif, collective, faulted,
-    congested, searched) per backend."""
-    from repro.topology import SIM_CONFIGS
+    """Run every cell of one ``section`` of ``preset``; keep the best wall.
 
-    spec = BENCH_PRESETS[preset]
-    scenarios = spec.get("scenarios")
-    if not scenarios:
-        return []
-    cfg = SIM_CONFIGS[spec["scale"]]
+    Each cell runs once per backend in ``backends`` (default: the
+    preset's list) — so the tracked file carries event and batched rows
+    for the same work at the same seed — except a ``shard_workers`` cell,
+    which runs on the sharded engine alone.
+    """
     if backends is None:
-        backends = spec.get("backends", ("event",))
+        backends = BENCH_PRESETS[preset].get("backends", ("event",))
     rows: list[dict[str, Any]] = []
-    for kind, sc in scenarios.items():
-        if kind == "searched":
-            # The spectral search runs once, outside every timer — the
-            # cell measures the engines on its irregular output, not the
-            # search itself.
-            from repro.topology import swap_searched_topology
-
-            topo = swap_searched_topology(
-                sc["n_routers"], sc["radix"], budget=sc["budget"],
-                seed=BENCH_SEED,
+    for cell in section_cells(preset, section):
+        for backend in ("sharded",) if "shard_workers" in cell else backends:
+            best = min(
+                (run_cell(cell, backend) for _ in range(max(1, repeats))),
+                key=lambda row: row["wall_s"],
             )
-            conc = sc["concentration"]
-        else:
-            topo_spec = cfg["topologies"][sc["topology"]]
-            topo = topo_spec["build"]()
-            conc = topo_spec["concentration"]
-        for backend in backends:
-            best: dict[str, Any] | None = None
-            for _ in range(max(1, repeats)):
-                if kind == "motif":
-                    row = run_motif_cell(
-                        topo, sc["routing"], sc["motif"], conc,
-                        n_ranks=sc["n_ranks"], backend=backend,
-                    )
-                elif kind == "collective":
-                    row = run_collective_cell(
-                        topo, sc["routing"], sc["collective"],
-                        sc["algorithm"], conc, n_ranks=sc["n_ranks"],
-                        total_bytes=sc["total_bytes"], backend=backend,
-                    )
-                elif kind == "searched":
-                    row = run_cell(
-                        topo, sc["routing"], sc["pattern"], sc["load"],
-                        concentration=conc, n_ranks=sc["n_ranks"],
-                        packets_per_rank=sc["packets_per_rank"],
-                        backend=backend,
-                    )
-                    row["workload"] = f"searched:b{sc['budget']}"
-                elif kind == "congested":
-                    row = run_congested_cell(
-                        topo, sc["routing"], sc["pattern"], sc["load"],
-                        concentration=conc, n_ranks=sc["n_ranks"],
-                        packets_per_rank=sc["packets_per_rank"],
-                        buffer_packets=sc["buffer_packets"],
-                        loss_prob=sc["loss_prob"],
-                        max_attempts=sc.get("max_attempts", 2),
-                        backend=backend,
-                    )
-                else:
-                    row = run_faulted_cell(
-                        topo, sc["routing"], sc["pattern"], sc["load"],
-                        concentration=conc, n_ranks=sc["n_ranks"],
-                        packets_per_rank=sc["packets_per_rank"],
-                        fail_fraction=sc["fail_fraction"],
-                        recover=sc.get("recover", True),
-                        backend=backend,
-                    )
-                if best is None or row["wall_s"] < best["wall_s"]:
-                    best = row
             rows.append(best)
             if progress is not None:
-                rate = best.get("messages_per_s") or best.get("packets_per_s")
-                progress(
-                    f"  {best['workload']:>20} {best['routing']:>8} "
-                    f"{best['backend']:>8}: {rate:>10,.0f} units/s "
-                    f"({best['wall_s']:.2f}s)"
+                label = best.get("name") or best.get("workload") or (
+                    f"{best['topology']} {best['pattern']}"
                 )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Scale cells: oracle-routed SpectralFly on the sharded engine
-# ---------------------------------------------------------------------------
-def run_scale_cell(sc: dict[str, Any], seed: int = BENCH_SEED) -> dict[str, Any]:
-    """Time one oracle-backed open-loop cell on the sharded engine.
-
-    These cells exist to keep the million-node path honest: an LPS
-    instance past the dense-table wall is built, routed through the
-    on-demand Cayley oracle (no O(n^2) distance matrix is ever
-    materialised — asserted, not assumed), and run on the process-sharded
-    batched engine.  The timer covers ``net.run()`` only; topology
-    construction and oracle setup (one BFS ball) are reported separately
-    in ``setup_wall_s``.
-    """
-    from repro.experiments.common import build_synthetic_sim
-    from repro.sim import SimConfig
-    from repro.topology import build_lps
-
-    t0 = time.perf_counter()
-    topo = build_lps(sc["p"], sc["q"])
-    cfg = SimConfig(
-        concentration=sc["concentration"],
-        backend="sharded",
-        shard_workers=sc["shard_workers"],
-    )
-    net = build_synthetic_sim(
-        topo,
-        sc["routing"],
-        sc["pattern"],
-        sc["load"],
-        concentration=sc["concentration"],
-        n_ranks=sc["n_ranks"],
-        packets_per_rank=sc["packets_per_rank"],
-        seed=seed,
-        config=cfg,
-        backend="sharded",
-        oracle=sc["oracle"],
-    )
-    setup_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    stats = net.run()
-    wall = time.perf_counter() - t0
-    if net.tables._dist is not None:  # pragma: no cover - the whole point
-        raise RuntimeError(
-            f"scale cell {sc['name']} materialised the dense distance "
-            "matrix; the oracle seam leaked"
-        )
-    summary = stats.summary()
-    delivered = int(summary.get("delivered", 0))
-    return {
-        "name": sc["name"],
-        "topology": topo.name,
-        "routers": topo.n_routers,
-        "routing": sc["routing"],
-        "pattern": sc["pattern"],
-        "load": sc["load"],
-        "backend": "sharded",
-        "shard_workers": sc["shard_workers"],
-        "oracle": sc["oracle"],
-        "n_ranks": sc["n_ranks"],
-        "packets_per_rank": sc["packets_per_rank"],
-        "delivered": delivered,
-        "setup_wall_s": round(setup_wall, 4),
-        "wall_s": round(wall, 4),
-        "packets_per_s": round(delivered / wall, 1) if wall > 0 else 0.0,
-        "mean_latency_ns": round(float(summary.get("mean_latency_ns", 0.0)), 2),
-        "mean_hops": round(float(summary.get("mean_hops", 0.0)), 4),
-        "dense_table_bytes_avoided": int(topo.n_routers) ** 2 * 2,
-    }
-
-
-def run_scale_cells(
-    preset: str, repeats: int = 1, progress=None
-) -> list[dict[str, Any]]:
-    """Run the preset's ``scale_cells`` (best wall over ``repeats``)."""
-    spec = BENCH_PRESETS[preset]
-    cells = spec.get("scale_cells")
-    if not cells:
-        return []
-    rows: list[dict[str, Any]] = []
-    for sc in cells:
-        best: dict[str, Any] | None = None
-        for _ in range(max(1, repeats)):
-            row = run_scale_cell(sc)
-            if best is None or row["wall_s"] < best["wall_s"]:
-                best = row
-        rows.append(best)
-        if progress is not None:
-            progress(
-                f"  {best['name']:>26} ({best['routers']:,} routers): "
-                f"{best['packets_per_s']:>10,.0f} pkt/s "
-                f"({best['wall_s']:.2f}s)"
-            )
+                unit, rate = (
+                    ("msg", best["messages_per_s"]) if "messages_per_s" in best
+                    else ("pkt", best["packets_per_s"])
+                )
+                progress(
+                    f"  {label:>26} {best['routing']:>8} {best['backend']:>8}: "
+                    f"{rate:>10,.0f} {unit}/s ({best['wall_s']:.2f}s)"
+                )
     return rows
 
 
@@ -812,13 +587,11 @@ def run_bench(
     if progress is not None:
         progress(f"== repro bench — preset {preset!r}, repeats {repeats}")
     t0 = time.perf_counter()
-    rows = run_end_to_end(
-        preset, repeats=repeats, progress=progress, backends=backends
+    rows, scenario_rows, scale_rows = (
+        run_section(preset, section, repeats=repeats, progress=progress,
+                    backends=backends)
+        for section in SECTIONS
     )
-    scenario_rows = run_scenarios(
-        preset, repeats=repeats, progress=progress, backends=backends
-    )
-    scale_rows = run_scale_cells(preset, repeats=repeats, progress=progress)
     event_rows = [r for r in rows if r["backend"] == "event"]
     batched_rows = [r for r in rows if r["backend"] == "batched"]
     # The headline summary always says which engine(s) it aggregates:
@@ -931,17 +704,23 @@ def compare_to_committed(
     """Regressions of ``fresh`` vs ``committed``; empty list == healthy.
 
     Compared figures: the event-engine headline packets/s, the batched
-    packets/s (when both files carry batched cells), and the batched
-    speedup over the event engine — the last one is machine-independent,
-    so it is the strongest signal on CI hardware that differs from the
-    machine that produced the committed file.
+    packets/s, the batched speedup over the event engine — the last one is
+    machine-independent, so it is the strongest signal on CI hardware that
+    differs from the machine that produced the committed file — each
+    scenario speedup and each scale cell's packets/s.  A figure the
+    committed file has and the fresh run lacks is reported too: a run that
+    silently lost a section is not healthy.
     """
     problems: list[str] = []
 
     def check(label: str, old: float | None, new: float | None) -> None:
-        if not old or new is None:
+        if not old:
             return
-        if new < (1.0 - tolerance) * old:
+        if new is None:
+            problems.append(
+                f"{label}: missing from the fresh run (committed {old:,.1f})"
+            )
+        elif new < (1.0 - tolerance) * old:
             problems.append(
                 f"{label}: fresh {new:,.1f} is more than "
                 f"{tolerance:.0%} below committed {old:,.1f}"
@@ -969,22 +748,19 @@ def compare_to_committed(
         old_b.get("speedup_vs_event"),
         new_b.get("speedup_vs_event"),
     )
-    # Scenario speedups (motif + faulted cells) are same-machine ratios
-    # like the headline speedup, so they transfer to CI hardware too.
-    old_s = committed.get("summary_scenarios", {})
-    new_s2 = fresh.get("summary_scenarios", {})
-    for key in sorted(set(old_s) & set(new_s2)):
-        check(f"scenario {key}", old_s.get(key), new_s2.get(key))
+    # Scenario speedups are same-machine ratios like the headline speedup,
+    # so they transfer to CI hardware too.
+    new_ss = fresh.get("summary_scenarios", {})
+    for key, old in sorted(committed.get("summary_scenarios", {}).items()):
+        check(f"scenario {key}", old, new_ss.get(key))
     # Scale cells (oracle + sharded engine past the dense-table wall) are
-    # matched by name so presets can gain or drop instances without
-    # breaking the check.
-    old_sc = {r["name"]: r for r in committed.get("scale_cells", [])}
+    # matched by name; a preset may gain instances, not drop them.
     new_sc = {r["name"]: r for r in fresh.get("scale_cells", [])}
-    for name in sorted(set(old_sc) & set(new_sc)):
+    for r in committed.get("scale_cells", []):
         check(
-            f"scale cell {name} packets/s",
-            old_sc[name].get("packets_per_s"),
-            new_sc[name].get("packets_per_s"),
+            f"scale cell {r['name']} packets/s",
+            r.get("packets_per_s"),
+            new_sc.get(r["name"], {}).get("packets_per_s"),
         )
     return problems
 

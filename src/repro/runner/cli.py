@@ -277,7 +277,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runner.bench import run_bench, run_check, run_scale_cells
+    from repro.runner.bench import run_bench, run_check, run_section
 
     _select_cache(args)
     if args.scale_smoke:
@@ -287,8 +287,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         # million-node path.
         if args.check:
             raise SystemExit("--scale-smoke and --check are exclusive")
-        rows = run_scale_cells(
+        rows = run_section(
             args.preset or "smoke",
+            "scale_cells",
             repeats=args.repeats,
             progress=None if args.quiet else print,
         )

@@ -15,21 +15,17 @@ import json
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.runner import bench
 from repro.runner.bench import (
     BENCH_PRESETS,
     compare_to_committed,
     run_bench,
     run_cell,
-    run_collective_cell,
-    run_congested_cell,
-    run_faulted_cell,
-    run_motif_cell,
-    run_scenarios,
+    run_section,
     summarize,
     summarize_scenarios,
 )
-from repro.topology import SIM_CONFIGS
 
 #: A micro preset: same shape as the real ones, sized for unit tests.
 _TINY = {
@@ -68,23 +64,23 @@ def tiny_preset(monkeypatch):
     return "tiny"
 
 
-@pytest.fixture(scope="module")
-def topo():
-    return SIM_CONFIGS["small"]["topologies"]["SpectralFly"]["build"]()
+def _cell(**keys):
+    """A cell on the small SpectralFly (concentration 4), minimal routing."""
+    return {"scale": "small", "topology": "SpectralFly",
+            "routing": "minimal", **keys}
 
 
 class TestCells:
-    def test_run_cell_reports_work_done(self, topo):
-        row = run_cell(topo, "minimal", "shuffle", 0.5, concentration=4,
-                       n_ranks=16, packets_per_rank=2, backend="event")
+    def test_run_cell_reports_work_done(self):
+        row = run_cell(_cell(pattern="shuffle", load=0.5, n_ranks=16,
+                             packets_per_rank=2), "event")
         assert row["backend"] == "event"
         assert row["delivered"] > 0
         assert row["wall_s"] >= 0 and row["packets_per_s"] > 0
 
-    def test_run_motif_cell_per_backend(self, topo):
+    def test_run_motif_cell_per_backend(self):
         rows = {
-            be: run_motif_cell(topo, "minimal", "sweep3d", 4, n_ranks=16,
-                               backend=be)
+            be: run_cell(_cell(kind="motif", motif="sweep3d", n_ranks=16), be)
             for be in ("event", "batched")
         }
         for be, row in rows.items():
@@ -94,25 +90,25 @@ class TestCells:
         # Identical DAG on both engines.
         assert rows["event"]["messages"] == rows["batched"]["messages"]
 
-    def test_run_motif_cell_unknown_kind(self, topo):
+    def test_run_motif_cell_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown bench motif"):
-            run_motif_cell(topo, "minimal", "nope", 4, n_ranks=16)
+            run_cell(_cell(kind="motif", motif="nope", n_ranks=16))
 
-    def test_run_faulted_cell_applies_the_schedule(self, topo):
-        row = run_faulted_cell(
-            topo, "minimal", "random", 0.5, concentration=4, n_ranks=16,
-            packets_per_rank=3, fail_fraction=0.05, backend="batched",
-        )
+    def test_run_faulted_cell_applies_the_schedule(self):
+        row = run_cell(_cell(
+            kind="faulted", pattern="random", load=0.5, n_ranks=16,
+            packets_per_rank=3, fail_fraction=0.05,
+        ), "batched")
         assert row["workload"] == "faulted:0.05"
         assert row["backend"] == "batched"
         assert row["delivered"] > 0
 
-    def test_run_collective_cell_per_backend(self, topo):
+    def test_run_collective_cell_per_backend(self):
         rows = {
-            be: run_collective_cell(
-                topo, "minimal", "allreduce", "ring", 4, n_ranks=8,
-                total_bytes=1 << 10, backend=be,
-            )
+            be: run_cell(_cell(
+                kind="collective", collective="allreduce", algorithm="ring",
+                n_ranks=8, total_bytes=1 << 10,
+            ), be)
             for be in ("event", "batched")
         }
         for be, row in rows.items():
@@ -123,13 +119,13 @@ class TestCells:
         # Identical schedule DAG on both engines.
         assert rows["event"]["messages"] == rows["batched"]["messages"]
 
-    def test_run_congested_cell_per_backend(self, topo):
+    def test_run_congested_cell_per_backend(self):
         rows = {
-            be: run_congested_cell(
-                topo, "minimal", "random", 0.5, concentration=4, n_ranks=16,
+            be: run_cell(_cell(
+                kind="congested", pattern="random", load=0.5, n_ranks=16,
                 packets_per_rank=3, buffer_packets=1, loss_prob=0.3,
-                max_attempts=1, backend=be,
-            )
+                max_attempts=1,
+            ), be)
             for be in ("event", "batched")
         }
         for be, row in rows.items():
@@ -149,7 +145,7 @@ class TestCells:
 
 class TestScenarios:
     def test_run_scenarios_covers_workloads_and_backends(self, tiny_preset):
-        rows = run_scenarios(tiny_preset)
+        rows = run_section(tiny_preset, "scenario_cells")
         assert {r["workload"].split(":")[0] for r in rows} == {
             "motif", "faulted", "collective", "congested", "searched"
         }
@@ -157,7 +153,7 @@ class TestScenarios:
         assert len(rows) == 10
 
     def test_searched_scenario_runs_a_searched_topology(self, tiny_preset):
-        rows = [r for r in run_scenarios(tiny_preset)
+        rows = [r for r in run_section(tiny_preset, "scenario_cells")
                 if r["workload"].startswith("searched:")]
         assert len(rows) == 2  # one per backend
         for row in rows:
@@ -170,7 +166,7 @@ class TestScenarios:
             BENCH_PRESETS, "bare", {k: v for k, v in _TINY.items()
                                     if k != "scenarios"}
         )
-        assert run_scenarios("bare") == []
+        assert run_section("bare", "scenario_cells") == []
 
     def test_summarize_scenarios_speedups(self):
         rows = [
@@ -269,6 +265,29 @@ class TestCompareToCommitted:
         problems = compare_to_committed(committed, fresh)
         assert not any(p.startswith("event packets/s") for p in problems)
 
+    def test_vanished_sections_are_flagged(self):
+        committed = self._base()
+        committed["scale_cells"] = [
+            {"name": "LPS(5,23)-sharded2-cayley", "packets_per_s": 40000.0},
+        ]
+        fresh = {"summary": dict(committed["summary"])}
+        problems = compare_to_committed(committed, fresh)
+        for figure in ("batched packets/s", "batched speedup vs event",
+                       "scenario motif_speedup_vs_event",
+                       "scenario faulted_speedup_vs_event",
+                       "scale cell LPS(5,23)-sharded2-cayley packets/s"):
+            assert any(p.startswith(f"{figure}: missing") for p in problems)
+        assert len(problems) == 5
+
+    def test_one_vanished_scenario_is_flagged(self):
+        committed = self._base()
+        fresh = self._base()
+        del fresh["summary_scenarios"]["faulted_speedup_vs_event"]
+        assert compare_to_committed(committed, fresh) == [
+            "scenario faulted_speedup_vs_event: missing from the fresh run "
+            "(committed 4.0)"
+        ]
+
 
 #: A micro scale cell: the smallest LPS instance, forced through the
 #: oracle + sharded path so unit tests exercise the real machinery.
@@ -282,9 +301,7 @@ _TINY_SCALE = {
 
 class TestScaleCells:
     def test_run_scale_cell_reports_the_work_done(self):
-        from repro.runner.bench import run_scale_cell
-
-        row = run_scale_cell(_TINY_SCALE)
+        row = run_cell(_TINY_SCALE, "sharded")
         assert row["name"] == _TINY_SCALE["name"]
         assert row["backend"] == "sharded"
         assert row["oracle"] == "cayley"
@@ -294,20 +311,23 @@ class TestScaleCells:
         assert row["wall_s"] > 0 and row["setup_wall_s"] > 0
         assert row["dense_table_bytes_avoided"] == 120 * 120 * 2
 
-    def test_run_scale_cells_respects_preset_section(self, monkeypatch):
-        from repro.runner.bench import run_scale_cells
+    def test_dense_oracle_trips_the_seam_guard(self):
+        cell = {**_TINY_SCALE, "name": "LPS(3,5)-dense", "oracle": "dense"}
+        with pytest.raises(SimulationError, match=r"LPS\(3,5\)-dense"):
+            run_cell(cell, "sharded")
 
+    def test_run_scale_cells_respects_preset_section(self, monkeypatch):
         monkeypatch.setitem(
             BENCH_PRESETS, "tiny-scale",
             {**_TINY, "scale_cells": (_TINY_SCALE,)},
         )
         lines = []
-        rows = run_scale_cells("tiny-scale", progress=lines.append)
+        rows = run_section("tiny-scale", "scale_cells", progress=lines.append)
         assert [r["name"] for r in rows] == [_TINY_SCALE["name"]]
         assert lines and "pkt/s" in lines[0]
         # No section -> no rows (the tiny preset has none).
         monkeypatch.setitem(BENCH_PRESETS, "tiny", _TINY)
-        assert run_scale_cells("tiny") == []
+        assert run_section("tiny", "scale_cells") == []
 
     def test_run_bench_writes_scale_section(self, monkeypatch, tmp_path):
         monkeypatch.setitem(
