@@ -8,7 +8,7 @@ from repro.experiments.fig9 import run as _run_fig9
 
 def run(scale: str = "small", seed: int = 0,
         motif_names: tuple[str, ...] | None = None,
-        backend: str = "event") -> ExperimentResult:
+        backend: str = "batched") -> ExperimentResult:
     res = _run_fig9(scale=scale, routing="ugal", seed=seed,
                     motif_names=motif_names, backend=backend)
     res.experiment = f"Fig 10 — Ember motifs, UGAL routing ({scale} scale)"

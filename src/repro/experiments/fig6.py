@@ -23,12 +23,12 @@ def run(
     packets_per_rank: int = 20,
     seed: int = 0,
     baseline: str = "DragonFly",
-    backend: str = "event",
+    backend: str = "batched",
 ) -> ExperimentResult:
     """Run the Fig. 6 sweep at ``scale`` ("small" default, "paper" full).
 
-    ``backend`` selects the simulation engine (``event`` reference or the
-    vectorized ``batched`` engine — see docs/performance.md).
+    ``backend`` selects the simulation engine: the vectorized ``batched``
+    engine (default) or the ``event`` reference — see docs/performance.md.
     """
     cfg = SIM_CONFIGS[scale]
     n_ranks = cfg["n_ranks"]

@@ -15,7 +15,7 @@ def run(
     loads: tuple[float, ...] = LOADS,
     packets_per_rank: int = 20,
     seed: int = 0,
-    backend: str = "event",
+    backend: str = "batched",
 ) -> ExperimentResult:
     res = _run_fig6(
         scale=scale,

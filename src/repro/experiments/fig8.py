@@ -22,7 +22,7 @@ def run(
     loads: tuple[float, ...] = LOADS,
     packets_per_rank: int = 20,
     seed: int = 0,
-    backend: str = "event",
+    backend: str = "batched",
 ) -> ExperimentResult:
     cfg = SIM_CONFIGS[scale]
     spec = cfg["topologies"]["SpectralFly"]

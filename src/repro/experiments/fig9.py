@@ -36,13 +36,13 @@ def run(
     seed: int = 0,
     motif_names: tuple[str, ...] | None = None,
     baseline: str = "DragonFly",
-    backend: str = "event",
+    backend: str = "batched",
 ) -> ExperimentResult:
     """Run the Fig. 9 motif sweep at ``scale``.
 
     ``backend`` selects the simulation engine for every motif run:
-    ``event`` (reference) or ``batched`` (the vectorized frontier runner,
-    statistically equivalent — see docs/performance.md).
+    ``batched`` (default; the vectorized frontier runner, statistically
+    equivalent — see docs/performance.md) or ``event`` (the reference).
     """
     cfg = SIM_CONFIGS[scale]
     n_ranks = cfg["n_ranks"]

@@ -51,7 +51,7 @@ def run(
     packets_per_rank: int = 10,
     recover: bool = True,
     seed: int = 0,
-    backend: str = "event",
+    backend: str = "batched",
 ) -> ExperimentResult:
     """Throughput/latency vs. failed-link fraction under live traffic.
 
@@ -66,9 +66,9 @@ def run(
 
     Both engines run the full sweep: the event engine applies faults
     per-event on its handler path, the batched engine as epoch boundaries
-    that rewrite its masked next-hop arrays (``backend="batched"``,
-    statistically equivalent — see the faulted rows of the tolerance
-    table in docs/performance.md).
+    that rewrite its masked next-hop arrays (the default; statistically
+    equivalent — see the faulted rows of the tolerance table in
+    docs/performance.md).  ``backend="event"`` runs the reference.
     """
     cfg = SIM_CONFIGS[scale]
     n_ranks = cfg["n_ranks"]

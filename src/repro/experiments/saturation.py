@@ -40,7 +40,7 @@ def run(
     packets_per_rank: int = 15,
     knee_factor: float = 1.5,
     seed: int = 0,
-    backend: str = "event",
+    backend: str = "batched",
 ) -> ExperimentResult:
     cfg = SIM_CONFIGS[scale]
     rows = []

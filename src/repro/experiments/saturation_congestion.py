@@ -49,7 +49,7 @@ def run(
     packets_per_rank: int = 10,
     max_attempts: int = 2,
     seed: int = 0,
-    backend: str = "event",
+    backend: str = "batched",
 ) -> ExperimentResult:
     cfg = SIM_CONFIGS[scale]
     rows = []

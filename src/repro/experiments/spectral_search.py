@@ -91,7 +91,7 @@ def run(
     n_ranks: int = 64,
     packets_per_rank: int = 6,
     seed: int = 0,
-    backend: str = "event",
+    backend: str = "batched",
 ) -> ExperimentResult:
     """Sweep seed-family × radix × search-budget; rank candidates."""
     unknown = set(seed_families) - set(SEED_FAMILIES)

@@ -46,7 +46,7 @@ Examples
     python -m repro sweep fig7 --seeds 0,1,2 --jobs 4
     python -m repro report -o results
     python -m repro serve --workers 4 --store-budget 2G
-    python -m repro submit fig6 --set backend=batched
+    python -m repro submit fig6 --set backend=event
     python -m repro stream job-1
     python -m repro cache stats
 """
@@ -64,7 +64,12 @@ from typing import Any
 
 from repro.errors import BackendCapabilityError, ParameterError
 from repro.runner.executor import run_experiment
-from repro.runner.registry import EXPERIMENTS, get_experiment, list_experiments
+from repro.runner.registry import (
+    EXPERIMENTS,
+    get_experiment,
+    list_experiments,
+    route_overrides,
+)
 from repro.utils.diskcache import configure_cache, default_cache_dir, get_default_cache
 from repro.utils.tables import render_table
 
@@ -152,11 +157,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = pathlib.Path(args.out) if args.out else None
     progress = None if args.quiet else print
     t0 = time.time()
-    for name in _resolve_names(args.experiments):
+    # Each --set key goes only to the named experiments that take it
+    # (`run all --set backend=event`), and every spec is validated before
+    # the first one runs.
+    exps = [get_experiment(name) for name in _resolve_names(args.experiments)]
+    routed = route_overrides(exps, overrides)
+    for exp, exp_overrides in zip(exps, routed):
+        exp.plan(preset, exp_overrides)
+    for exp, exp_overrides in zip(exps, routed):
         for report in run_experiment(
-            name,
+            exp,
             preset=preset,
-            overrides=overrides,
+            overrides=exp_overrides,
             jobs=args.jobs,
             cache=cache,
             force=args.force,
@@ -692,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
         return 130
     except (BackendCapabilityError, ParameterError) as exc:
         # Spec-time validation (`--set backend=...` on an experiment the
-        # backend cannot run, a `--set` key no composite part accepts) is
+        # backend cannot run, a `--set` key no named driver accepts) is
         # a usage error, not a crash: print the message — it names the
         # supported backends / accepted keys — without a traceback.
         print(f"error: {exc}", file=sys.stderr)

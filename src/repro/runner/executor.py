@@ -18,7 +18,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable
 
-from repro.errors import CellExecutionError, JobCancelledError, ParameterError
+from repro.errors import CellExecutionError, JobCancelledError
 from repro.experiments.common import ExperimentResult
 from repro.runner.registry import ExperimentDef, get_experiment
 from repro.runner.spec import CellOutcome, ExperimentSpec, RunReport
@@ -305,6 +305,8 @@ def run_experiment(
         ``"small"`` (laptop-scale defaults) or ``"full"`` (paper-scale).
     overrides:
         Parameter overrides applied on top of the preset (CLI ``--set``).
+        A key no driver takes raises :class:`ParameterError` before any
+        cell runs; a composite forwards each part only the keys it takes.
     jobs:
         Worker processes for independent cells; 1 runs everything inline.
     cache:
@@ -327,40 +329,10 @@ def run_experiment(
     """
     exp = get_experiment(experiment) if isinstance(experiment, str) else experiment
     cache = cache if cache is not None else get_default_cache()
-    if exp.is_composite:
-        # Parts have different signatures; forward only the overrides each
-        # driver actually accepts.  A key no part accepts is a user error
-        # (a typo would otherwise be silently ignored here, while plain
-        # experiments reject it) — raise before running anything.
-        parts = [get_experiment(p) for p in exp.parts]
-        accepted_by_part = {p.name: p.accepted_params() for p in parts}
-        all_accepted = set().union(*accepted_by_part.values())
-        unknown = sorted(set(overrides or {}) - all_accepted)
-        if unknown:
-            raise ParameterError(
-                f"composite {exp.name!r}: override key(s) "
-                f"{', '.join(unknown)} accepted by none of its parts "
-                f"({', '.join(exp.parts)}); accepted keys: "
-                f"{', '.join(sorted(all_accepted))}"
-            )
-        reports = []
-        for part in parts:
-            part_overrides = {
-                k: v
-                for k, v in (overrides or {}).items()
-                if k in accepted_by_part[part.name]
-            }
-            spec = part.spec(preset, part_overrides)
-            reports.append(
-                _run_single(
-                    part, spec, jobs, cache, force, progress,
-                    events=events, cancel=cancel,
-                )
-            )
-        return reports
-    spec = exp.spec(preset, overrides)
+    # plan() validates every spec (override keys, backend) before any runs.
     return [
         _run_single(
-            exp, spec, jobs, cache, force, progress, events=events, cancel=cancel
+            part, spec, jobs, cache, force, progress, events=events, cancel=cancel
         )
+        for part, spec in exp.plan(preset, overrides)
     ]

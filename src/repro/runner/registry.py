@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import BackendCapabilityError
+from repro.errors import BackendCapabilityError, ParameterError
 from repro.runner.spec import ExperimentSpec, resolve_callable
 from repro.sim import capabilities
 
@@ -117,18 +117,62 @@ class ExperimentDef:
     def accepted_params(self) -> frozenset[str]:
         """Parameter names the driver's signature accepts.
 
-        Composite experiments forward each part only the overrides its
-        driver takes; the executor unions these sets to reject override
-        keys that *no* part accepts (a silent typo otherwise).
+        For a composite, the union over its parts: :func:`route_overrides`
+        forwards each part only the overrides its driver takes.
         """
         import inspect
 
+        if self.is_composite:
+            return frozenset().union(
+                *(get_experiment(p).accepted_params() for p in self.parts)
+            )
         return frozenset(inspect.signature(self.resolve()).parameters)
 
     def spec(self, preset: str = "small", overrides: dict[str, Any] | None = None) -> ExperimentSpec:
+        """The validated spec of a plain experiment.
+
+        An override key the driver does not take raises
+        :class:`ParameterError` naming the accepted keys, before any cell
+        runs.  :meth:`params` checks ``backend`` first, so a backend
+        override on a non-simulation experiment keeps its canonical
+        capability error.
+        """
         if self.is_composite:
             raise ValueError(f"{self.name} is composite; build specs per part")
-        return ExperimentSpec.make(self.name, self.fn, self.params(preset, overrides))
+        params = self.params(preset, overrides)
+        self._reject_unknown(overrides)
+        return ExperimentSpec.make(self.name, self.fn, params)
+
+    def _reject_unknown(self, overrides: dict[str, Any] | None) -> None:
+        if not overrides:
+            return  # nothing to check, and no driver import
+        accepted = self.accepted_params()
+        unknown = sorted(set(overrides) - accepted)
+        if unknown:
+            parts = f" (parts {', '.join(self.parts)})" if self.parts else ""
+            raise ParameterError(
+                f"experiment {self.name!r}{parts} does not take override "
+                f"key(s) {', '.join(unknown)}; accepted keys: "
+                f"{', '.join(sorted(accepted))}"
+            )
+
+    def plan(
+        self, preset: str = "small", overrides: dict[str, Any] | None = None
+    ) -> list[tuple["ExperimentDef", ExperimentSpec]]:
+        """One validated ``(driver def, spec)`` per driver this name runs.
+
+        A plain experiment plans itself; a composite plans each part with
+        the overrides its driver takes.  Every spec is built, and so
+        validated, before the caller runs any of them.
+        """
+        if not self.is_composite:
+            return [(self, self.spec(preset, overrides))]
+        self._reject_unknown(overrides)
+        parts = [get_experiment(p) for p in self.parts]
+        return [
+            (part, part.spec(preset, part_overrides))
+            for part, part_overrides in zip(parts, route_overrides(parts, overrides))
+        ]
 
     def cells(self, spec: ExperimentSpec) -> list[ExperimentSpec]:
         """Split ``spec`` into independent single-value cells.
@@ -280,23 +324,23 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "patterns": _PATTERNS,
                 "loads": (0.1, 0.3, 0.5, 0.7),
                 "packets_per_rank": 15,
-                # Simulation engine: "event" (reference) or "batched" (the
-                # vectorized cycle-driven backend; statistically, not
-                # event-for-event, equivalent — docs/performance.md).
-                # Override with --set backend=batched.
-                "backend": "event",
+                # Simulation engine: "batched" (the vectorized cycle-driven
+                # backend; statistically, not event-for-event, equivalent
+                # — docs/performance.md).  --set backend=event for the
+                # reference.
+                "backend": "batched",
             },
             "full": {
                 "scale": "paper",
                 "patterns": _PATTERNS,
                 "loads": (0.1, 0.2, 0.3, 0.5, 0.6, 0.7),
                 "packets_per_rank": 20,
-                "backend": "event",
+                "backend": "batched",
             },
         },
         cell_axes=("patterns", "loads"),
         tags=("figure", "simulation"),
-        runtime="~1 min",
+        runtime="~6 s",
         features=(capabilities.OPEN_LOOP, capabilities.ADAPTIVE_ROUTING),
     ),
     ExperimentDef(
@@ -305,17 +349,17 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         fn="repro.experiments.fig7:run",
         presets={
             "small": {"scale": "small", "loads": (0.1, 0.3, 0.5, 0.7),
-                      "packets_per_rank": 15, "backend": "event"},
+                      "packets_per_rank": 15, "backend": "batched"},
             "full": {
                 "scale": "paper",
                 "loads": (0.1, 0.2, 0.3, 0.5, 0.6, 0.7),
                 "packets_per_rank": 20,
-                "backend": "event",
+                "backend": "batched",
             },
         },
         cell_axes=("loads",),
         tags=("figure", "simulation"),
-        runtime="~30 s",
+        runtime="~2 s",
         features=(capabilities.OPEN_LOOP,),
     ),
     ExperimentDef(
@@ -328,19 +372,19 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "patterns": _PATTERNS,
                 "loads": (0.1, 0.3, 0.5, 0.7),
                 "packets_per_rank": 15,
-                "backend": "event",
+                "backend": "batched",
             },
             "full": {
                 "scale": "paper",
                 "patterns": _PATTERNS,
                 "loads": (0.1, 0.2, 0.3, 0.5, 0.6, 0.7),
                 "packets_per_rank": 20,
-                "backend": "event",
+                "backend": "batched",
             },
         },
         cell_axes=("patterns", "loads"),
         tags=("figure", "simulation"),
-        runtime="~1 min",
+        runtime="~4 s",
         features=(capabilities.OPEN_LOOP,),
     ),
     ExperimentDef(
@@ -348,16 +392,16 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         title="Fig 9 — Ember motifs under minimal routing",
         fn="repro.experiments.fig9:run",
         presets={
-            # backend: "event" (reference) or "batched" (vectorized
-            # frontier runner) — override with --set backend=batched.
+            # backend: "batched" (vectorized frontier runner); --set
+            # backend=event for the reference.
             "small": {"scale": "small", "motif_names": _MOTIFS,
-                      "backend": "event"},
+                      "backend": "batched"},
             "full": {"scale": "paper", "motif_names": _MOTIFS,
-                     "backend": "event"},
+                     "backend": "batched"},
         },
         cell_axes=("motif_names",),
         tags=("figure", "simulation", "motifs"),
-        runtime="~2 min",
+        runtime="~7 s",
         features=(capabilities.MOTIFS,),
     ),
     ExperimentDef(
@@ -366,13 +410,13 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         fn="repro.experiments.fig10:run",
         presets={
             "small": {"scale": "small", "motif_names": _MOTIFS,
-                      "backend": "event"},
+                      "backend": "batched"},
             "full": {"scale": "paper", "motif_names": _MOTIFS,
-                     "backend": "event"},
+                     "backend": "batched"},
         },
         cell_axes=("motif_names",),
         tags=("figure", "simulation", "motifs"),
-        runtime="~2 min",
+        runtime="~7 s",
         features=(capabilities.MOTIFS,),
     ),
     ExperimentDef(
@@ -401,12 +445,12 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         fn="repro.experiments.saturation:run",
         presets={
             "small": {"scale": "small", "packets_per_rank": 15,
-                      "backend": "event"},
+                      "backend": "batched"},
             "full": {"scale": "paper", "packets_per_rank": 20,
-                     "backend": "event"},
+                     "backend": "batched"},
         },
         tags=("extension", "simulation"),
-        runtime="~2 min",
+        runtime="~3 s",
         features=(capabilities.OPEN_LOOP, capabilities.ADAPTIVE_ROUTING),
     ),
     ExperimentDef(
@@ -422,9 +466,10 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "load": 0.55,
                 "packets_per_rank": 10,
                 # Both engines implement finite buffers and lossy links;
-                # the batched one is the fast path (--set backend=batched,
-                # tolerances in docs/performance.md).
-                "backend": "event",
+                # the batched one is the fast path (tolerances in
+                # docs/performance.md).  --set backend=event for the
+                # reference.
+                "backend": "batched",
             },
             "full": {
                 "scale": "paper",
@@ -433,14 +478,14 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "routings": ("minimal", "valiant", "ugal"),
                 "load": 0.55,
                 "packets_per_rank": 20,
-                "backend": "event",
+                "backend": "batched",
             },
         },
         # The ranking and its inversion flag are computed inside a family
         # cell (across routings and regimes), so only families split.
         cell_axes=("families",),
         tags=("extension", "simulation", "congestion"),
-        runtime="~2 min",
+        runtime="~3 s",
         features=(capabilities.OPEN_LOOP, capabilities.FINITE_BUFFERS,
                   capabilities.LOSSY_LINKS, capabilities.ADAPTIVE_ROUTING),
     ),
@@ -457,9 +502,10 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "packets_per_rank": 10,
                 "recover": True,
                 # Either engine runs the faulted sweep; the batched one
-                # applies the schedule as epoch boundaries (--set
-                # backend=batched, see docs/performance.md).
-                "backend": "event",
+                # applies the schedule as epoch boundaries (see
+                # docs/performance.md).  --set backend=event for the
+                # reference.
+                "backend": "batched",
             },
             "full": {
                 "scale": "paper",
@@ -468,7 +514,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "fail_fractions": (0.0, 0.05, 0.1, 0.2, 0.3),
                 "packets_per_rank": 20,
                 "recover": True,
-                "backend": "event",
+                "backend": "batched",
             },
         },
         # fail_fractions deliberately stays inside the cell: the driver
@@ -476,7 +522,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         # fraction, which a per-fraction split would break.
         cell_axes=("families", "routings"),
         tags=("extension", "simulation", "resilience"),
-        runtime="~1 min",
+        runtime="~2 s",
         features=(capabilities.OPEN_LOOP, capabilities.FAULTS,
                   capabilities.ADAPTIVE_ROUTING),
     ),
@@ -494,7 +540,9 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "total_bytes": 1 << 14,
                 "routing": "minimal",
                 # Chunk DAGs run unchanged on either engine (--set
-                # backend=batched, see docs/collectives.md).
+                # backend=batched, see docs/collectives.md).  Stays on the
+                # event engine: the batched one is slower here until the
+                # collective waves are planned (ROADMAP item 3).
                 "backend": "event",
             },
             "full": {
@@ -533,8 +581,9 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "load": 0.5,
                 "packets_per_rank": 6,
                 # Candidates run through the same engines as fig6
-                # (--set backend=batched works; docs/search.md).
-                "backend": "event",
+                # (docs/search.md).  --set backend=event for the
+                # reference.
+                "backend": "batched",
             },
             "full": {
                 "seed_families": ("jellyfish", "paley", "lps", "slimfly"),
@@ -547,7 +596,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
                 "routing": "minimal",
                 "load": 0.5,
                 "packets_per_rank": 10,
-                "backend": "event",
+                "backend": "batched",
             },
         },
         # Every (seed_family, radix, budget) combination is an independent
@@ -555,7 +604,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         # the cross product rectangular for the executor/service.
         cell_axes=("seed_families", "radixes", "budgets"),
         tags=("extension", "search", "spectral", "simulation"),
-        runtime="~1 min",
+        runtime="~2 s",
         features=(capabilities.OPEN_LOOP,),
     ),
     ExperimentDef(
@@ -580,6 +629,24 @@ def get_experiment(name: str) -> ExperimentDef:
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(sorted(EXPERIMENTS))}"
         ) from None
+
+
+def route_overrides(
+    defs: list[ExperimentDef], overrides: dict[str, Any] | None
+) -> list[dict[str, Any]]:
+    """Split one override dict across experiments run under one command.
+
+    The parts of a composite (or the names of ``repro run fig3 fig6``)
+    take different parameters, so each key goes only to the experiments
+    whose driver accepts it.  A key that none of them accepts goes to all
+    of them, so the first spec built rejects it with the accepted keys.
+    """
+    accepted = [d.accepted_params() for d in defs]
+    known = frozenset().union(*accepted)
+    return [
+        {k: v for k, v in (overrides or {}).items() if k in keys or k not in known}
+        for keys in accepted
+    ]
 
 
 def list_experiments(tag: str | None = None, include_composite: bool = True) -> list[ExperimentDef]:

@@ -71,34 +71,14 @@ class JobQueue:
             if isinstance(experiment, str)
             else experiment
         )
-        if exp.is_composite:
-            # Mirror run_experiment's composite contract at submit time.
-            parts = [get_experiment(p) for p in exp.parts]
-            accepted = set().union(*(p.accepted_params() for p in parts))
-            unknown = sorted(set(overrides or {}) - accepted)
-            if unknown:
-                raise KeyError(
-                    f"composite {exp.name!r}: override key(s) "
-                    f"{', '.join(unknown)} accepted by no part"
-                )
-            for part in parts:
-                part.spec(
-                    preset,
-                    {
-                        k: v
-                        for k, v in (overrides or {}).items()
-                        if k in part.accepted_params()
-                    },
-                )
-        else:
-            unknown = sorted(set(overrides or {}) - exp.accepted_params())
-            if unknown:
-                raise KeyError(
-                    f"experiment {exp.name!r}: unknown override key(s) "
-                    f"{', '.join(unknown)}; driver accepts "
-                    f"{', '.join(sorted(exp.accepted_params()))}"
-                )
-            exp.spec(preset, overrides)
+        unknown = sorted(set(overrides or {}) - exp.accepted_params())
+        if unknown:
+            raise KeyError(
+                f"experiment {exp.name!r}: unknown override key(s) "
+                f"{', '.join(unknown)}; driver accepts "
+                f"{', '.join(sorted(exp.accepted_params()))}"
+            )
+        exp.plan(preset, overrides)  # the same checks run_experiment makes
         job = Job(name=exp.name, preset=preset, overrides=overrides,
                   jobs=self.jobs_per_run, force=force)
         job._exp = exp  # resolved def travels with the job

@@ -69,34 +69,40 @@ class TestFig5:
         assert by[("SF(7)", 0.1)]["diameter"] > 2
 
 
+# The simulation drivers default to the batched engine; every shape check
+# runs on the event reference too.
+@pytest.mark.parametrize("backend", ["event", "batched"])
 class TestSimFigures:
-    def test_fig6_rows_and_baseline(self):
-        res = fig6.run(patterns=("random",), loads=(0.3,), packets_per_rank=5)
+    def test_fig6_rows_and_baseline(self, backend):
+        res = fig6.run(patterns=("random",), loads=(0.3,), packets_per_rank=5,
+                       backend=backend)
         assert len(res.rows) == 4
         df = [r for r in res.rows if r["topology"] == "DragonFly"][0]
         assert df["speedup_vs_df"] == 1.0
 
-    def test_fig7_minimal(self):
-        res = fig7.run(loads=(0.3,), packets_per_rank=5)
+    def test_fig7_minimal(self, backend):
+        res = fig7.run(loads=(0.3,), packets_per_rank=5, backend=backend)
         assert all(r["routing"] == "minimal" for r in res.rows)
 
-    def test_fig8_ratio_definition(self):
-        res = fig8.run(patterns=("shuffle",), loads=(0.3,), packets_per_rank=5)
+    def test_fig8_ratio_definition(self, backend):
+        res = fig8.run(patterns=("shuffle",), loads=(0.3,), packets_per_rank=5,
+                       backend=backend)
         row = res.rows[0]
         assert row["valiant_speedup_vs_minimal"] == pytest.approx(
             row["minimal_max_ns"] / row["valiant_max_ns"], abs=0.01
         )
 
 
+@pytest.mark.parametrize("backend", ["event", "batched"])
 class TestMotifFigures:
-    def test_fig9_rows(self):
-        res = fig9.run(motif_names=("Sweep3D",))
+    def test_fig9_rows(self, backend):
+        res = fig9.run(motif_names=("Sweep3D",), backend=backend)
         assert len(res.rows) == 4
         df = [r for r in res.rows if r["topology"] == "DragonFly"][0]
         assert df["speedup_vs_df"] == 1.0
 
-    def test_fig10_uses_ugal(self):
-        res = fig10.run(motif_names=("Sweep3D",))
+    def test_fig10_uses_ugal(self, backend):
+        res = fig10.run(motif_names=("Sweep3D",), backend=backend)
         assert all(r["routing"] == "ugal" for r in res.rows)
 
 

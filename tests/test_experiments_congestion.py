@@ -33,9 +33,12 @@ def _mini(**overrides):
     return run(**kwargs)
 
 
+# The driver defaults to the batched engine; every pin also holds on the
+# event reference.
+@pytest.mark.parametrize("backend", ["event", "batched"])
 class TestDriver:
-    def test_rows_and_columns(self):
-        res = _mini()
+    def test_rows_and_columns(self, backend):
+        res = _mini(backend=backend)
         assert len(res.rows) == 2  # 1 family x 2 regimes
         base, tight = res.rows
         assert base["buffers"] == "unbounded"
@@ -51,17 +54,18 @@ class TestDriver:
         assert all(r["dropped"] == 0 == r["retransmits"] for r in res.rows)
         assert all(r["min_delivered_fraction"] == 1.0 for r in res.rows)
 
-    def test_deterministic_per_seed(self):
-        assert _mini().rows == _mini().rows
+    def test_deterministic_per_seed(self, backend):
+        assert _mini(backend=backend).rows == _mini(backend=backend).rows
 
-    def test_lossy_regime_actually_drops_and_retransmits(self):
-        res = _mini(regimes=((0, 0.0), (0, 0.08)), max_attempts=2)
+    def test_lossy_regime_actually_drops_and_retransmits(self, backend):
+        res = _mini(regimes=((0, 0.0), (0, 0.08)), max_attempts=2,
+                    backend=backend)
         lossy = res.rows[1]
         assert lossy["dropped"] > 0
         assert lossy["retransmits"] > 0
         assert lossy["min_delivered_fraction"] < 1.0
 
-    def test_small_preset_produces_a_ranking_inversion(self):
+    def test_small_preset_produces_a_ranking_inversion(self, backend):
         # The acceptance claim: at the registered small-preset parameters
         # at least one finite-buffer cell ranks the routings differently
         # from the same family's unbounded baseline.  Run two of the four
@@ -70,6 +74,7 @@ class TestDriver:
         exp = get_experiment("saturation-congestion")
         params = exp.params("small")
         params["families"] = ("SpectralFly", "BundleFly")
+        params["backend"] = backend
         res = run(**params)
         inverted = [r for r in res.rows if r["ranking_inverted"]]
         assert inverted, "no cell's ranking differed from its baseline"
@@ -91,7 +96,6 @@ class TestRegistryEntry:
         assert exp.cell_axes == ("families",)
         for preset in exp.presets:
             params = exp.params(preset)
-            assert params["backend"] == "event"
             assert set(params["routings"]) >= {"minimal", "ugal"}
 
     def test_declares_the_congestion_features(self):

@@ -24,9 +24,12 @@ def _mini(**overrides):
     return run(**kwargs)
 
 
+# The driver defaults to the batched engine; every pin also holds on the
+# event reference.
+@pytest.mark.parametrize("backend", ["event", "batched"])
 class TestDriver:
-    def test_rows_and_columns(self):
-        res = _mini()
+    def test_rows_and_columns(self, backend):
+        res = _mini(backend=backend)
         assert len(res.rows) == 2  # 1 family x 1 routing x 2 fractions
         row = res.rows[1]
         assert row["failed"] == 0.15
@@ -37,13 +40,13 @@ class TestDriver:
         assert res.rows[0]["max_vs_pristine"] == 1.0
         assert res.rows[0]["delivered_frac"] == 1.0
 
-    def test_deterministic_per_seed(self):
-        assert _mini().rows == _mini().rows
-        assert _mini().rows != _mini(seed=1).rows
+    def test_deterministic_per_seed(self, backend):
+        assert _mini(backend=backend).rows == _mini(backend=backend).rows
+        assert _mini(backend=backend).rows != _mini(seed=1, backend=backend).rows
 
-    def test_recovery_toggle(self):
-        with_rec = _mini(recover=True)
-        without = _mini(recover=False)
+    def test_recovery_toggle(self, backend):
+        with_rec = _mini(recover=True, backend=backend)
+        without = _mini(recover=False, backend=backend)
         # Recovery schedules a link-up per link-down: twice the epochs.
         assert (
             with_rec.rows[1]["fault_epochs"]

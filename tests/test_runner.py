@@ -185,6 +185,42 @@ def test_simulation_experiments_declare_features():
                 )
 
 
+#: The engine each simulation experiment runs by default: batched wherever
+#: it covers the experiment's features and the paper gates pass on it.
+#: collectives stays on the event engine, which runs its chunk DAGs faster
+#: until the batched engine plans the collective waves.
+ENGINE_DEFAULTS = {
+    "fig6": "batched",
+    "fig7": "batched",
+    "fig8": "batched",
+    "fig9": "batched",
+    "fig10": "batched",
+    "saturation": "batched",
+    "saturation-congestion": "batched",
+    "resilience-traffic": "batched",
+    "spectral-search": "batched",
+    "collectives": "event",
+}
+
+
+def test_engine_defaults_agree_and_are_pinned():
+    # One default per experiment: every preset's backend is the driver's
+    # signature default (a direct driver call runs what `repro run` runs)
+    # and a backend the experiment's features allow.
+    import inspect
+
+    defaults = {}
+    for exp in list_experiments(include_composite=False):
+        if not exp.features:
+            continue
+        default = inspect.signature(exp.resolve()).parameters["backend"].default
+        for preset, params in exp.presets.items():
+            assert params["backend"] == default, (exp.name, preset)
+            assert default in exp.supported_backends, exp.name
+        defaults[exp.name] = default
+    assert defaults == ENGINE_DEFAULTS
+
+
 def test_cell_axes_are_preset_params():
     for exp in list_experiments(include_composite=False):
         for axis in exp.cell_axes:
@@ -250,6 +286,18 @@ def test_run_experiment_unknown_name():
         run_experiment("fig99")
 
 
+def test_run_experiment_rejects_override_the_driver_does_not_take(cache):
+    # Regression: an override key the driver does not take used to reach
+    # the driver and fail inside the first cell as a TypeError wrapped in
+    # CellExecutionError.  It is a spec-time ParameterError now, naming
+    # the accepted keys, and no cell runs.
+    from repro.errors import ParameterError
+
+    with pytest.raises(ParameterError, match="loads.*accepted keys: instances"):
+        run_experiment("fig3", overrides={"loads": 0.1}, cache=cache)
+    assert cache.stats()["session_misses"] == 0
+
+
 # ---------------------------------------------------------------------------
 # CLI smoke tests (subprocess, isolated cache)
 def _cli(tmp_path, *args):
@@ -300,6 +348,64 @@ def test_cli_bad_backend_fails_cleanly_before_running(tmp_path):
     assert proc.returncode == 2
     assert "does not take a backend parameter" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_unknown_override_key_fails_cleanly(tmp_path):
+    proc = _cli(tmp_path, "run", "fig3", "--quiet", "--set", "loads=0.1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "accepted keys: instances" in proc.stderr
+
+
+def _record_runs(monkeypatch):
+    """Replace the CLI's runner with a recorder of (name, overrides)."""
+    from repro.runner import cli
+    from repro.utils import diskcache
+
+    # --no-cache replaces the process-wide cache; restore it afterwards.
+    monkeypatch.setattr(diskcache, "_default", diskcache._default)
+    calls = []
+
+    def fake_run(exp, preset="small", overrides=None, **_):
+        calls.append((exp.name, overrides))
+        return []
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    return cli, calls
+
+
+def test_cli_run_forwards_each_key_to_the_experiments_that_take_it(monkeypatch):
+    cli, calls = _record_runs(monkeypatch)
+    argv = ["run", "--no-cache", "--quiet", "--set", "backend=event"]
+    assert cli.main([*argv, "table1", "fig7"]) == 0
+    assert calls == [("table1", {}), ("fig7", {"backend": "event"})]
+
+    # `run all --set backend=event` is the one-command reference run:
+    # every simulation experiment gets the event engine, the rest nothing.
+    calls.clear()
+    assert cli.main([*argv, "all"]) == 0
+    assert {name for name, _ in calls} == {
+        d.name for d in list_experiments(include_composite=False)
+    }
+    for name, overrides in calls:
+        expected = {"backend": "event"} if get_experiment(name).features else {}
+        assert overrides == expected, name
+
+
+def test_cli_run_rejects_key_no_named_experiment_takes(monkeypatch, capsys):
+    cli, calls = _record_runs(monkeypatch)
+    rc = cli.main(["run", "--no-cache", "fig3", "fig4.design_space",
+                   "--set", "nope=1"])
+    assert rc == 2
+    assert "nope" in capsys.readouterr().err
+    assert calls == []  # rejected before anything ran
+
+    # A spec error in a later name also stops the run before the first.
+    rc = cli.main(["run", "--no-cache", "fig7", "fig6",
+                   "--set", "backend=sharded"])
+    assert rc == 2
+    assert calls == []
 
 
 def test_cli_run_writes_output_dir(tmp_path):

@@ -270,7 +270,8 @@ class TestRoutingFeatureValidation:
 
 # -- the registry experiment -------------------------------------------------
 class TestSpectralSearchExperiment:
-    def test_small_preset_beats_seed_and_is_deterministic(self):
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_small_preset_beats_seed_and_is_deterministic(self, backend):
         """Acceptance pinning: at small-preset parameters, at least one
         searched candidate strictly beats its Jellyfish seed on spectral
         gap at equal n and radix — and re-runs reproduce identical rows."""
@@ -279,7 +280,7 @@ class TestSpectralSearchExperiment:
         kwargs = dict(
             seed_families=("jellyfish",), radixes=(6,), budgets=(200,),
             n_routers=44, restarts=1, passes=1, n_ranks=32,
-            packets_per_rank=4,
+            packets_per_rank=4, backend=backend,
         )
         result = run(**kwargs)
         swap_rows = [r for r in result.rows if r["role"] == "swap"]
@@ -304,12 +305,14 @@ class TestSpectralSearchExperiment:
         with pytest.raises(ParameterError):
             run(seed_families=("mobius",))
 
-    def test_lift_rows_double_routers(self):
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_lift_rows_double_routers(self, backend):
         from repro.experiments.spectral_search import run
 
         result = run(
             seed_families=("paley",), radixes=(6,), budgets=(10,),
             restarts=1, passes=1, n_ranks=16, packets_per_rank=3,
+            backend=backend,
         )
         by_role = {r["role"]: r for r in result.rows}
         assert by_role["lift"]["routers"] == 2 * by_role["seed"]["routers"]
