@@ -2,9 +2,9 @@
 
 The cell list, field set, and runner live in ``tests/test_sim_golden.py``
 so the generator and the regression test can never disagree about what a
-cell is.  The corpus pins the event engine plus a batched and a sharded
-section.  Run this only when a change *intentionally* alters the
-behaviour of one of the three engines, commit the diff, and explain the
+cell is.  The corpus pins the event engine plus a batched section.  Run
+this only when a change *intentionally* alters the behaviour of one of
+the two engines, commit the diff, and explain the
 regeneration in the commit message.
 
 Usage: python scripts/make_golden_sim.py
@@ -21,7 +21,6 @@ for p in (str(ROOT / "src"), str(ROOT / "tests")):
     if p not in sys.path:
         sys.path.insert(0, p)
 
-import repro.sim.sharded as sharded_mod  # noqa: E402
 from test_sim_golden import (  # noqa: E402
     BATCHED_CELLS,
     CELLS,
@@ -34,7 +33,6 @@ from test_sim_golden import (  # noqa: E402
     ORACLE_CELLS,
     PACKETS_PER_RANK,
     SEARCHED_CELLS,
-    SHARDED_CELLS,
     batched_cell_id,
     cell_id,
     collect_batched_cell,
@@ -45,14 +43,12 @@ from test_sim_golden import (  # noqa: E402
     collect_motif_cell,
     collect_oracle_cell,
     collect_searched_cell,
-    collect_sharded_cell,
     collective_cell_id,
     congestion_cell_id,
     fault_cell_id,
     motif_cell_id,
     oracle_cell_id,
     searched_cell_id,
-    sharded_cell_id,
 )
 
 
@@ -60,7 +56,7 @@ def main() -> int:
     corpus = {
         "schema": 7,
         "kind": "repro-sim-golden",
-        "backends": ["event", "batched", "sharded"],
+        "backends": ["event", "batched"],
         "n_ranks": N_RANKS,
         "packets_per_rank": PACKETS_PER_RANK,
         "cells": {},
@@ -71,7 +67,6 @@ def main() -> int:
         "oracle_cells": {},
         "searched_cells": {},
         "batched": {},
-        "sharded": {},
     }
     for cell in CELLS:
         name = cell_id(cell)
@@ -105,12 +100,6 @@ def main() -> int:
         name = batched_cell_id(entry)
         print(f"  batched {name}...")
         corpus["batched"][name] = collect_batched_cell(entry)
-    # Small cells: force the forked path, as tests/test_sim_sharded.py does.
-    sharded_mod.MIN_PACKETS_TO_SHARD = 0
-    for cell in SHARDED_CELLS:
-        name = sharded_cell_id(cell)
-        print(f"  sharded {name}...")
-        corpus["sharded"][name] = collect_sharded_cell(cell)
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(corpus, indent=1) + "\n")
     n_lat = sum(len(c["latencies_ns"]) for c in corpus["cells"].values())
@@ -122,8 +111,7 @@ def main() -> int:
         f"{len(CONGESTION_CELLS)} congested cells, "
         f"{len(ORACLE_CELLS)} oracle cells, "
         f"{len(SEARCHED_CELLS)} searched cells, "
-        f"{len(BATCHED_CELLS)} batched cells, "
-        f"{len(SHARDED_CELLS)} sharded cells)"
+        f"{len(BATCHED_CELLS)} batched cells)"
     )
     return 0
 

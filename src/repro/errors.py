@@ -125,32 +125,23 @@ class BufferDeadlockError(SimulationError):
         return ()
 
 
-class ShardWorkerError(SimulationError):
-    """A worker process of the sharded engine died mid-run.
+class MotifDeadlockError(SimulationError):
+    """A closed-loop motif run stopped with messages still undelivered.
 
-    ``worker`` is the worker id and ``span`` the ``(lo, hi)`` router range
-    it owned; ``exitcode`` is the process exit code when it is known (the
-    worker's own traceback goes to its stderr).  By the time this is
-    raised the hub has terminated and joined every other worker.
+    Raised by both engines' motif runners (``repro.workloads.runner``)
+    when the network drains but some messages never became eligible —
+    their dependencies form a cycle, or name a message that is never
+    delivered.  ``delivered`` counts the messages that did arrive and
+    ``total`` the messages in the DAG.
     """
 
-    def __init__(
-        self,
-        worker: int,
-        span: tuple[int, int],
-        exitcode: int | None = None,
-        detail: str = "",
-    ) -> None:
-        lo, hi = span
-        msg = f"shard worker {worker} (routers [{lo}, {hi})) failed"
-        if exitcode is not None:
-            msg += f" with exit code {exitcode}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.worker = worker
-        self.span = (lo, hi)
-        self.exitcode = exitcode
+    def __init__(self, delivered: int, total: int) -> None:
+        super().__init__(
+            f"motif deadlocked: {delivered}/{total} delivered "
+            "(cyclic dependencies?)"
+        )
+        self.delivered = delivered
+        self.total = total
 
 
 class JobCancelledError(ReproError, RuntimeError):

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import ConstructionError
 from repro.graphs.csr import CSRGraph
 from repro.utils.rng import as_rng
 
@@ -104,7 +105,7 @@ def resilience_trials(
                     if not require_connected or is_connected(trial):
                         break
                 else:
-                    raise RuntimeError(
+                    raise ConstructionError(
                         f"could not draw a connected graph at failure "
                         f"proportion {proportion}"
                     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ConstructionError, ParameterError
 from repro.graphs.csr import CSRGraph
 from repro.utils.rng import as_rng
 
@@ -102,7 +102,7 @@ def _repairing_configuration_model(
     while bad:
         guard += 1
         if guard > 100_000:
-            raise RuntimeError("edge-swap repair failed to converge")
+            raise ConstructionError("edge-swap repair failed to converge")
         u, v = bad.pop()
         x, y = list(edge_set)[rng.integers(len(edge_set))]
         # Swap (u,v),(x,y) -> (u,x),(v,y) when that removes the defect.

@@ -15,7 +15,7 @@ turn the stats into a row) under the one best-of-``repeats`` loop
   mid-run-faulted, a congested (finite credits + lossy channel) and a
   searched-topology run, labelled by :data:`WORKLOAD_LABELS`;
 * ``scale_cells`` — oracle-routed LPS instances past the dense-table
-  wall on the process-sharded engine.
+  wall on the batched engine.
 
 Plus **micro benchmarks** — the per-hop primitives the fast path is built
 from: directed-edge-id lookup, minimal-next-hop selection, and
@@ -82,10 +82,10 @@ BENCH_PRESETS: dict[str, dict[str, Any]] = {
                          "packets_per_rank": 8},
         },
         "scale_cells": (
-            {"name": "LPS(5,23)-sharded2-cayley", "p": 5, "q": 23,
+            {"name": "LPS(5,23)-cayley", "p": 5, "q": 23,
              "oracle": "cayley", "routing": "minimal", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 4096,
-             "packets_per_rank": 4, "shard_workers": 2},
+             "packets_per_rank": 4},
         ),
     },
     "small": {
@@ -123,16 +123,16 @@ BENCH_PRESETS: dict[str, dict[str, Any]] = {
         # Million-node-regime cells: SpectralFly instances far past the
         # dense-table wall (LPS(5,47) has 103,776 routers; its n x n
         # int16 distance matrix alone would be ~21.5 GB), routed through
-        # the on-demand Cayley oracle on the process-sharded engine.
+        # the on-demand Cayley oracle on the batched engine.
         "scale_cells": (
-            {"name": "LPS(5,23)-sharded2-cayley", "p": 5, "q": 23,
+            {"name": "LPS(5,23)-cayley", "p": 5, "q": 23,
              "oracle": "cayley", "routing": "minimal", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 4096,
-             "packets_per_rank": 4, "shard_workers": 2},
-            {"name": "LPS(5,47)-sharded4-cayley", "p": 5, "q": 47,
+             "packets_per_rank": 4},
+            {"name": "LPS(5,47)-cayley", "p": 5, "q": 47,
              "oracle": "cayley", "routing": "minimal", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 16384,
-             "packets_per_rank": 4, "shard_workers": 4},
+             "packets_per_rank": 4},
         ),
     },
     "full": {
@@ -168,14 +168,14 @@ BENCH_PRESETS: dict[str, dict[str, Any]] = {
                          "packets_per_rank": 15},
         },
         "scale_cells": (
-            {"name": "LPS(5,47)-sharded4-cayley", "p": 5, "q": 47,
+            {"name": "LPS(5,47)-cayley", "p": 5, "q": 47,
              "oracle": "cayley", "routing": "minimal", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 65536,
-             "packets_per_rank": 8, "shard_workers": 4},
-            {"name": "LPS(5,47)-sharded4-valiant", "p": 5, "q": 47,
+             "packets_per_rank": 8},
+            {"name": "LPS(5,47)-valiant-cayley", "p": 5, "q": 47,
              "oracle": "cayley", "routing": "valiant", "pattern": "random",
              "load": 0.3, "concentration": 2, "n_ranks": 65536,
-             "packets_per_rank": 8, "shard_workers": 4},
+             "packets_per_rank": 8},
         ),
     },
 }
@@ -198,8 +198,8 @@ WORKLOAD_LABELS = {
 }
 
 #: Cell keys a row echoes (when the cell has them).
-_ROW_KEYS = ("name", "routing", "pattern", "load", "shard_workers", "oracle",
-             "n_ranks", "packets_per_rank")
+_ROW_KEYS = ("name", "routing", "pattern", "load", "oracle", "n_ranks",
+             "packets_per_rank")
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +260,6 @@ def _assemble(cell: dict[str, Any], backend: str):
 
     topo, concentration = _build_topology(cell)
     opts: dict[str, Any] = {"concentration": concentration}
-    if "shard_workers" in cell:
-        opts["shard_workers"] = cell["shard_workers"]
     if "buffer_packets" in cell:
         # Finite credit/backpressure input buffers of ``buffer_packets``
         # packets — the saturation-congestion configuration.
@@ -335,9 +333,8 @@ def run_cell(cell: dict[str, Any], backend: str = "event") -> dict[str, Any]:
     a closed-loop run, otherwise ``routing``/``pattern``/``load`` open-loop
     traffic; ``fail_fraction`` adds a mid-run link-fault schedule,
     ``buffer_packets``/``loss_prob`` finite credit buffers and a lossy
-    retransmitting channel, ``oracle``/``shard_workers`` the on-demand
-    routing oracle and the sharded engine's pool; ``kind`` labels a
-    scenario row's ``workload`` (:data:`WORKLOAD_LABELS`).
+    retransmitting channel, ``oracle`` the on-demand routing oracle;
+    ``kind`` labels a scenario row's ``workload`` (:data:`WORKLOAD_LABELS`).
 
     Only the engine run is timed (``wall_s``); building the topology,
     tables, workload and simulator is ``setup_wall_s``.  An ``oracle``
@@ -432,14 +429,14 @@ def run_section(
 
     Each cell runs once per backend in ``backends`` (default: the
     preset's list) — so the tracked file carries event and batched rows
-    for the same work at the same seed — except a ``shard_workers`` cell,
-    which runs on the sharded engine alone.
+    for the same work at the same seed — except an ``oracle`` cell, which
+    runs on the batched engine alone.
     """
     if backends is None:
         backends = BENCH_PRESETS[preset].get("backends", ("event",))
     rows: list[dict[str, Any]] = []
     for cell in section_cells(preset, section):
-        for backend in ("sharded",) if "shard_workers" in cell else backends:
+        for backend in ("batched",) if "oracle" in cell else backends:
             best = min(
                 (run_cell(cell, backend) for _ in range(max(1, repeats))),
                 key=lambda row: row["wall_s"],
@@ -753,7 +750,7 @@ def compare_to_committed(
     new_ss = fresh.get("summary_scenarios", {})
     for key, old in sorted(committed.get("summary_scenarios", {}).items()):
         check(f"scenario {key}", old, new_ss.get(key))
-    # Scale cells (oracle + sharded engine past the dense-table wall) are
+    # Scale cells (oracle-routed, past the dense-table wall) are
     # matched by name; a preset may gain instances, not drop them.
     new_sc = {r["name"]: r for r in fresh.get("scale_cells", [])}
     for r in committed.get("scale_cells", []):

@@ -294,7 +294,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _select_cache(args)
     if args.scale_smoke:
         # CI's non-gating scale-smoke step: just the smoke preset's
-        # oracle-backed sharded cells (10^4-router SpectralFly, 2 workers),
+        # oracle-backed scale cells (10^4-router SpectralFly on batched),
         # no JSON written — a fast end-to-end liveness probe of the
         # million-node path.
         if args.check:
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "if throughput regressed by more than 25%% "
                         "(compares against --out, never overwrites it)")
     p.add_argument("--scale-smoke", action="store_true",
-                   help="run only the preset's oracle-backed sharded scale "
+                   help="run only the preset's oracle-backed scale "
                         "cells (default preset: smoke) as a liveness probe; "
                         "writes no JSON")
     p.add_argument("--baseline", type=float, metavar="PKT_PER_S",

@@ -341,7 +341,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         cell_axes=("patterns", "loads"),
         tags=("figure", "simulation"),
         runtime="~6 s",
-        features=(capabilities.OPEN_LOOP, capabilities.ADAPTIVE_ROUTING),
+        features=(capabilities.OPEN_LOOP,),
     ),
     ExperimentDef(
         name="fig7",
@@ -451,7 +451,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         },
         tags=("extension", "simulation"),
         runtime="~3 s",
-        features=(capabilities.OPEN_LOOP, capabilities.ADAPTIVE_ROUTING),
+        features=(capabilities.OPEN_LOOP,),
     ),
     ExperimentDef(
         name="saturation-congestion",
@@ -487,7 +487,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         tags=("extension", "simulation", "congestion"),
         runtime="~3 s",
         features=(capabilities.OPEN_LOOP, capabilities.FINITE_BUFFERS,
-                  capabilities.LOSSY_LINKS, capabilities.ADAPTIVE_ROUTING),
+                  capabilities.LOSSY_LINKS),
     ),
     ExperimentDef(
         name="resilience-traffic",
@@ -523,8 +523,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = _exp(
         cell_axes=("families", "routings"),
         tags=("extension", "simulation", "resilience"),
         runtime="~2 s",
-        features=(capabilities.OPEN_LOOP, capabilities.FAULTS,
-                  capabilities.ADAPTIVE_ROUTING),
+        features=(capabilities.OPEN_LOOP, capabilities.FAULTS),
     ),
     ExperimentDef(
         name="collectives",

@@ -41,11 +41,10 @@ delivered counts is pinned statistically by
 The open-loop cycle itself is one method, :meth:`BatchedSimulator._step`:
 winner pick (with the optional credit gate), wait accounting, eject or
 advance (through the optional lossy channel), credit transfer, and winner
-removal.  Two drivers call it: :meth:`BatchedSimulator._cycle_loop`
-(injections, fault epochs, idle skips) and the per-shard worker loop of
-:class:`~repro.sim.sharded.ShardedSimulator` (the hub protocol).  Arrivals
-due at a later cycle — channel-delayed hops here, every hop and injection
-in closed-loop mode — wait in one due-cycle :class:`_Calendar`.
+removal.  Its one driver, :meth:`BatchedSimulator._cycle_loop`, handles
+injections, fault epochs and idle skips.  Arrivals due at a later cycle
+— channel-delayed hops here, every hop and injection in closed-loop
+mode — wait in one due-cycle :class:`_Calendar`.
 
 Beyond the original open-loop path, this engine covers the two scenario
 families the paper's figures need:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ConstructionError, ParameterError
 from repro.graphs.csr import CSRGraph
 from repro.topology.base import Topology
 from repro.utils.rng import as_rng
@@ -115,7 +115,9 @@ def _repair_connectivity(g: CSRGraph, rng: np.random.Generator) -> CSRGraph:
         in_ids = np.flatnonzero(in_mask)
         out_ids = np.flatnonzero(out_mask)
         if len(in_ids) == 0 or len(out_ids) == 0:
-            raise RuntimeError("cannot repair connectivity: no swap candidates")
+            raise ConstructionError(
+                "cannot repair connectivity: no swap candidates"
+            )
         e1 = edges[rng.choice(in_ids)]
         e2 = edges[rng.choice(out_ids)]
         # Swap (a,b),(c,d) -> (a,c),(b,d): joins the components.
@@ -124,4 +126,4 @@ def _repair_connectivity(g: CSRGraph, rng: np.random.Generator) -> CSRGraph:
         g = CSRGraph.from_edges(
             g.n, np.concatenate([remaining.edge_array(), new])
         )
-    raise RuntimeError("connectivity repair did not converge")
+    raise ConstructionError("connectivity repair did not converge")

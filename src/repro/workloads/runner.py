@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import MotifDeadlockError
 from repro.routing.algorithms import RoutingPolicy
 from repro.sim import capabilities
 from repro.sim.batched import BatchedSimulator
@@ -103,10 +104,7 @@ def run_motif(
         inject(m, t0)
     stats = net.run()
     if delivered_count != len(messages):
-        raise RuntimeError(
-            f"motif deadlocked: {delivered_count}/{len(messages)} delivered "
-            "(cyclic dependencies?)"
-        )
+        raise MotifDeadlockError(delivered_count, len(messages))
     out = _summarise(stats, motif, messages,
                      float(net.stats.t_last_delivery))
     if t_deliver is not None:
@@ -131,10 +129,7 @@ def _run_batched(
     )
     stats = net.run_closed_loop(messages, np.asarray(rank_to_ep))
     if net.closed_loop_delivered != len(messages):
-        raise RuntimeError(
-            f"motif deadlocked: {net.closed_loop_delivered}/{len(messages)} "
-            "delivered (cyclic dependencies?)"
-        )
+        raise MotifDeadlockError(net.closed_loop_delivered, len(messages))
     out = _summarise(stats, motif, messages, float(stats.t_last_delivery))
     if collect_delivery_times:
         out["t_delivered_ns"] = net._t_del.copy()

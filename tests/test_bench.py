@@ -268,14 +268,14 @@ class TestCompareToCommitted:
     def test_vanished_sections_are_flagged(self):
         committed = self._base()
         committed["scale_cells"] = [
-            {"name": "LPS(5,23)-sharded2-cayley", "packets_per_s": 40000.0},
+            {"name": "LPS(5,23)-cayley", "packets_per_s": 40000.0},
         ]
         fresh = {"summary": dict(committed["summary"])}
         problems = compare_to_committed(committed, fresh)
         for figure in ("batched packets/s", "batched speedup vs event",
                        "scenario motif_speedup_vs_event",
                        "scenario faulted_speedup_vs_event",
-                       "scale cell LPS(5,23)-sharded2-cayley packets/s"):
+                       "scale cell LPS(5,23)-cayley packets/s"):
             assert any(p.startswith(f"{figure}: missing") for p in problems)
         assert len(problems) == 5
 
@@ -290,20 +290,20 @@ class TestCompareToCommitted:
 
 
 #: A micro scale cell: the smallest LPS instance, forced through the
-#: oracle + sharded path so unit tests exercise the real machinery.
+#: Cayley oracle on batched so unit tests exercise the real machinery.
 _TINY_SCALE = {
-    "name": "LPS(3,5)-sharded2-cayley", "p": 3, "q": 5,
+    "name": "LPS(3,5)-cayley", "p": 3, "q": 5,
     "oracle": "cayley", "routing": "minimal", "pattern": "random",
     "load": 0.3, "concentration": 2, "n_ranks": 64,
-    "packets_per_rank": 2, "shard_workers": 2,
+    "packets_per_rank": 2,
 }
 
 
 class TestScaleCells:
     def test_run_scale_cell_reports_the_work_done(self):
-        row = run_cell(_TINY_SCALE, "sharded")
+        row = run_cell(_TINY_SCALE, "batched")
         assert row["name"] == _TINY_SCALE["name"]
-        assert row["backend"] == "sharded"
+        assert row["backend"] == "batched"
         assert row["oracle"] == "cayley"
         assert row["routers"] == 120
         assert row["delivered"] == 64 * 2
@@ -314,7 +314,7 @@ class TestScaleCells:
     def test_dense_oracle_trips_the_seam_guard(self):
         cell = {**_TINY_SCALE, "name": "LPS(3,5)-dense", "oracle": "dense"}
         with pytest.raises(SimulationError, match=r"LPS\(3,5\)-dense"):
-            run_cell(cell, "sharded")
+            run_cell(cell, "batched")
 
     def test_run_scale_cells_respects_preset_section(self, monkeypatch):
         monkeypatch.setitem(
@@ -323,7 +323,10 @@ class TestScaleCells:
         )
         lines = []
         rows = run_section("tiny-scale", "scale_cells", progress=lines.append)
-        assert [r["name"] for r in rows] == [_TINY_SCALE["name"]]
+        # An oracle cell runs on batched alone, whatever the preset lists.
+        assert [(r["name"], r["backend"]) for r in rows] == [
+            (_TINY_SCALE["name"], "batched")
+        ]
         assert lines and "pkt/s" in lines[0]
         # No section -> no rows (the tiny preset has none).
         monkeypatch.setitem(BENCH_PRESETS, "tiny", _TINY)
@@ -344,10 +347,10 @@ class TestScaleCells:
 
     def test_scale_cell_regression_is_flagged(self):
         committed = {"scale_cells": [
-            {"name": "LPS(5,23)-sharded2-cayley", "packets_per_s": 40000.0},
+            {"name": "LPS(5,23)-cayley", "packets_per_s": 40000.0},
         ]}
         fresh = {"scale_cells": [
-            {"name": "LPS(5,23)-sharded2-cayley", "packets_per_s": 10000.0},
+            {"name": "LPS(5,23)-cayley", "packets_per_s": 10000.0},
         ]}
         problems = compare_to_committed(committed, fresh)
         assert any("scale cell" in p for p in problems)
@@ -357,11 +360,10 @@ class TestScaleCells:
         fresh["scale_cells"][0]["packets_per_s"] = 90000.0
         assert compare_to_committed(committed, fresh) == []
 
-    def test_presets_with_scale_cells_use_the_sharded_oracle_path(self):
+    def test_presets_with_scale_cells_use_the_oracle_path(self):
         for preset in ("smoke", "small", "full"):
             for sc in BENCH_PRESETS[preset].get("scale_cells", ()):
                 assert sc["oracle"] in ("cayley", "landmark")
-                assert sc["shard_workers"] >= 2
                 # Past the smoke tier the instances sit beyond the dense
                 # wall: the q=23/q=47 LPS cells must never densify.
                 assert sc["q"] >= 23

@@ -2,7 +2,7 @@
 
 ``tests/golden/bench_rows.json`` stores a micro preset (the shape of
 ``tests/test_bench.py``'s ``_TINY`` plus ``_TINY_SCALE``: one end-to-end
-cell, every scenario kind and one oracle-routed sharded scale cell, each
+cell, every scenario kind and one oracle-routed scale cell, each
 on its engines) and every row :func:`repro.runner.bench.run_bench` made
 of it, minus the timing keys.  Rows are deterministic at a fixed seed, so
 a refactor of the bench harness must reproduce every pinned key with the

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConstructionError
 from repro.graphs.failures import delete_random_edges, resilience_trials
 from repro.graphs.generators import complete_graph, hypercube_graph
 from repro.graphs.metrics import average_distance, diameter, is_connected
@@ -67,6 +68,14 @@ class TestResilienceTrials:
             max_trials_per_batch=2,
         )
         assert mean == 1.0
+
+    def test_no_connected_draw_raises_construction_error(self):
+        # Failing 90% of a 4-cycle's edges always disconnects it, so every
+        # redraw fails and the trial gives up with a structured error.
+        g = hypercube_graph(2)
+        with pytest.raises(ConstructionError, match="proportion 0.9"):
+            resilience_trials(g, 0.9, diameter, seed=0,
+                              require_connected=True)
 
 
 class TestResilienceTrialsRngStreams:

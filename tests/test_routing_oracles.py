@@ -220,6 +220,20 @@ class TestLaziness:
         assert tables.diameter > 0
         assert tables.distance(0, 1) >= 1
 
+    def test_batched_run_through_the_cayley_oracle_stays_lazy(self):
+        """A whole open-loop run on the batched engine — the path the
+        bench scale cells take — routes without building the matrix."""
+        from repro.experiments.common import build_synthetic_sim
+
+        net = build_synthetic_sim(
+            build_lps(3, 5), "minimal", "random", 0.4, concentration=2,
+            n_ranks=32, packets_per_rank=4, seed=7, backend="batched",
+            oracle="cayley",
+        )
+        stats = net.run()
+        assert len(stats.latencies_ns) == stats.n_injected > 0
+        assert net.tables._dist is None
+
     def test_auto_kind_prefers_dense_below_threshold(self):
         topo = build_lps(3, 5)
         assert oracle_for(topo, kind="auto", use_cache=False).kind == "dense"

@@ -17,12 +17,7 @@ import pytest
 from repro.errors import BackendCapabilityError, SimulationError
 from repro.experiments.common import build_synthetic_sim
 from repro.routing import RoutingTables, make_routing
-from repro.sim import (
-    BatchedSimulator,
-    NetworkSimulator,
-    ShardedSimulator,
-    SimConfig,
-)
+from repro.sim import BatchedSimulator, NetworkSimulator, SimConfig
 from repro.sim import capabilities as cap
 from repro.sim.faults import FaultSchedule
 from repro.topology import build_lps
@@ -46,7 +41,6 @@ def _make_engine(parts, backend):
     cls = {
         "event": NetworkSimulator,
         "batched": BatchedSimulator,
-        "sharded": ShardedSimulator,
     }[backend]
     return cls(topo, make_routing("minimal", tables, seed=0),
                SimConfig(concentration=2), tables=tables)
@@ -175,16 +169,6 @@ def _exercise_adhoc_send(parts, backend):
     assert len(stats.latencies_ns) == 1
 
 
-def _exercise_adaptive_routing(parts, backend):
-    topo, _ = parts
-    net = build_synthetic_sim(
-        topo, "ugal", "random", 0.5, concentration=2, n_ranks=8,
-        packets_per_rank=2, seed=0, backend=backend,
-    )
-    stats = net.run()
-    assert len(stats.latencies_ns) == stats.n_injected > 0
-
-
 _EXERCISES = {
     cap.OPEN_LOOP: _exercise_open_loop,
     cap.MOTIFS: _exercise_motifs,
@@ -195,7 +179,6 @@ _EXERCISES = {
     cap.PAUSE_RESUME: _exercise_pause_resume,
     cap.DELIVERY_CALLBACKS: _exercise_delivery_callbacks,
     cap.ADHOC_SEND: _exercise_adhoc_send,
-    cap.ADAPTIVE_ROUTING: _exercise_adaptive_routing,
 }
 
 

@@ -1,12 +1,11 @@
-"""Golden-stats regression corpus for the event, batched and sharded engines.
+"""Golden-stats regression corpus for the event and batched engines.
 
 ``tests/golden/sim_small.json`` pins the **exact** :class:`SimStats` of a
 handful of seeded small-preset cells — every per-packet latency and hop
 count, every counter, bit for bit.  The event engine is pinned across
-every scenario family; the batched and sharded engines (schema 7) get
-their own sections, because each is deterministic per seed (per ``(seed,
-shard_workers)`` for sharded) even though they are only *statistically*
-equivalent to the event engine.  The differential harness
+every scenario family; the batched engine (schema 7) gets its own
+section, because it is deterministic per seed even though it is only
+*statistically* equivalent to the event engine.  The differential harness
 (``test_sim_differential.py``) and the throughput benchmarks only watch
 aggregate numbers; this corpus is what catches *silent behaviour drift*
 — a reordered RNG draw, an off-by-one in queue accounting, a changed
@@ -35,13 +34,12 @@ import pathlib
 
 import pytest
 
-import repro.sim.sharded as sharded_mod
 from repro.experiments.common import build_synthetic_sim, cached_tables
 from repro.routing import make_routing
 from repro.sim import BatchedSimulator, ChannelConfig, SimConfig
 from repro.sim.faults import FaultSchedule
 from repro.sim.placement import place_ranks
-from repro.topology import SIM_CONFIGS, build_lps
+from repro.topology import SIM_CONFIGS
 from repro.workloads import (
     CollectiveMotif,
     FFTMotif,
@@ -181,20 +179,6 @@ BATCHED_CELLS = [
      ("DragonFly", "ugal", "reduce-scatter", "rabenseifner", 11, 7)),
     ("oracle", ("SpectralFly", "cayley", "minimal", "tornado", 0.5, 11)),
 ]
-
-#: Sharded-engine corpus cells (schema 7): (workers, routing, seed) on
-#: ``build_lps(3, 5)``, run with ``MIN_PACKETS_TO_SHARD`` lowered to 0 so
-#: the cells take the forked path.  A sharded run is exactly reproducible
-#: per ``(seed, shard_workers)``.
-SHARDED_CELLS = [
-    (2, "minimal", 7),
-    (3, "minimal", 7),
-    (2, "valiant", 7),
-    (3, "valiant", 7),
-]
-SHARDED_RANKS = 32
-SHARDED_PACKETS_PER_RANK = 6
-
 
 def make_motif(kind: str, n_ranks: int):
     """The corpus motif instances (small and fixed, like the cells)."""
@@ -451,11 +435,6 @@ def batched_cell_id(entry) -> str:
     return f"{kind}:{ids[kind](cell)}"
 
 
-def sharded_cell_id(cell) -> str:
-    workers, routing, seed = cell
-    return f"lps3-5-w{workers}-{routing}-s{seed}"
-
-
 def _closed_loop_stats(family, routing, motif, seed):
     """Run a motif DAG on the batched closed-loop driver directly.
 
@@ -502,25 +481,6 @@ def collect_batched_cell(entry) -> dict:
     return dataclasses.asdict(stats)
 
 
-def collect_sharded_cell(cell) -> dict:
-    """Run one sharded-engine cell; pin every SimStats field.
-
-    The caller lowers ``repro.sim.sharded.MIN_PACKETS_TO_SHARD`` so the
-    run forks; the assertion catches a cell that would silently fall back
-    to the single-process loop.
-    """
-    workers, routing, seed = cell
-    net = build_synthetic_sim(
-        build_lps(3, 5), routing, "random", 0.5, concentration=2,
-        n_ranks=SHARDED_RANKS, packets_per_rank=SHARDED_PACKETS_PER_RANK,
-        seed=seed, backend="sharded",
-        config=SimConfig(concentration=2, shard_workers=workers),
-    )
-    stats = net.run()
-    assert stats.n_injected >= sharded_mod.MIN_PACKETS_TO_SHARD
-    return dataclasses.asdict(stats)
-
-
 @pytest.fixture(scope="module")
 def golden():
     assert GOLDEN_PATH.exists(), (
@@ -554,11 +514,8 @@ class TestGoldenCorpus:
         assert list(golden["batched"]) == [
             batched_cell_id(c) for c in BATCHED_CELLS
         ]
-        assert list(golden["sharded"]) == [
-            sharded_cell_id(c) for c in SHARDED_CELLS
-        ]
         assert golden["schema"] == 7
-        assert golden["backends"] == ["event", "batched", "sharded"]
+        assert golden["backends"] == ["event", "batched"]
         assert golden["n_ranks"] == N_RANKS
         assert golden["packets_per_rank"] == PACKETS_PER_RANK
 
@@ -664,20 +621,6 @@ class TestGoldenCorpus:
             assert actual[key] == expected[key], (
                 f"batched SimStats {key!r} drifted in "
                 f"{batched_cell_id(entry)}; if the change is intentional, "
-                "regenerate with scripts/make_golden_sim.py and say so in "
-                "the commit"
-            )
-
-    @pytest.mark.parametrize("cell", SHARDED_CELLS, ids=sharded_cell_id)
-    def test_sharded_backend_bit_for_bit(self, golden, cell, monkeypatch):
-        monkeypatch.setattr(sharded_mod, "MIN_PACKETS_TO_SHARD", 0)
-        expected = golden["sharded"][sharded_cell_id(cell)]
-        actual = collect_sharded_cell(cell)
-        assert set(actual) == set(expected)
-        for key in expected:
-            assert actual[key] == expected[key], (
-                f"sharded SimStats {key!r} drifted in "
-                f"{sharded_cell_id(cell)}; if the change is intentional, "
                 "regenerate with scripts/make_golden_sim.py and say so in "
                 "the commit"
             )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import MotifDeadlockError, SimulationError
 from repro.routing import RoutingTables, make_routing
 from repro.sim import SimConfig
 from repro.topology import build_lps
@@ -14,6 +15,7 @@ from repro.workloads import (
     run_motif,
 )
 from repro.workloads.halo3d import default_halo_grid
+from repro.workloads.motif import Motif
 
 
 def _dag_is_acyclic(messages):
@@ -184,6 +186,31 @@ class TestRunner:
             Sweep3DMotif((5, 5), sweeps=1, compute_ns=5000.0), cfg,
         )
         assert slow["makespan_ns"] > fast["makespan_ns"]
+
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_cyclic_dependencies_raise_motif_deadlock(self, env, backend):
+        # A root message, then two messages that each wait on the other:
+        # the root delivers, the cycle never becomes eligible.
+        class Cyclic(Motif):
+            name = "cyclic"
+
+            def generate(self):
+                return [
+                    Message(0, 0, 1, 64, []),
+                    Message(1, 1, 0, 64, [0, 2]),
+                    Message(2, 0, 1, 64, [1]),
+                ]
+
+        topo, tables = env
+        with pytest.raises(MotifDeadlockError) as info:
+            run_motif(
+                topo, make_routing("minimal", tables, seed=0), Cyclic(2),
+                SimConfig(concentration=2), backend=backend,
+            )
+        err = info.value
+        assert isinstance(err, SimulationError)
+        assert (err.delivered, err.total) == (1, 3)
+        assert "1/3 delivered" in str(err)
 
 
 #: Every motif family, sized for the live-simulator tests below.
