@@ -240,6 +240,20 @@ class TestSearchedTopology:
             )
         assert out["event"]["delivered"] == out["batched"]["delivered"] > 0
 
+    @pytest.mark.parametrize("backend", ["event", "batched"])
+    def test_searched_runs_ugal_on_every_engine(self, backend):
+        """Adaptive routing needs global queue state, which both engines
+        hold, so UGAL on a searched candidate assembles and drains."""
+        from repro.experiments.common import build_synthetic_sim
+
+        topo = swap_searched_topology(26, 4, budget=40, seed=6)
+        net = build_synthetic_sim(
+            topo, "ugal", "random", 0.4, concentration=2, n_ranks=16,
+            packets_per_rank=4, seed=0, backend=backend,
+        )
+        stats = net.run()
+        assert len(stats.latencies_ns) == stats.n_injected == 16 * 4
+
 
 # -- the registry experiment -------------------------------------------------
 class TestSpectralSearchExperiment:
